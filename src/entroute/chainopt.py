@@ -3,10 +3,10 @@
 A chain is segmented into contiguous runs of at most three hops; each
 segment first swaps its raw links into one longer pair per raw round, then
 applies a k-to-1 purification circuit, and finally all segment outputs are
-swapped end to end. The optimizer enumerates every segmentation and, within
-each, relaxes circuit selectivity downwards from k = 8 on the rate
-bottleneck until no purification remains, keeping the best plan seen by
-distillable entanglement.
+swapped end to end. The optimizer is exact: it returns the plan with the
+highest distillable entanglement over every segmentation and every circuit
+width, so it is never below the paper's selectivity relaxation (which walks
+k down from 8 on the rate bottleneck and can miss the optimum).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import lru_cache
 from .netgraph import Network
 from .purify import circuit_for, evaluate_circuit, post_purification_rate
 from .werner import (NoiseParams, PERFECT, check_fidelity, distillable,
-                     distillable_per_pair, fidelity_to_w, swap_fidelity)
+                     fidelity_to_w, swap_fidelity)
 
 MAX_CHAIN_HOPS = 10
 MAX_SEGMENT_HOPS = 3
@@ -131,16 +131,6 @@ def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _segment_fid_ceiling(f_raw: float, p2: float, eta: float, max_k: int) -> float:
-    """Highest circuit output fidelity achievable on one segment."""
-    noise = NoiseParams(p2, eta)
-    return max(
-        evaluate_circuit(circuit_for(k), f_raw, noise).f_out
-        for k in range(1, max_k + 1)
-    )
-
-
 def evaluate_plan(chain: Chain, plan: PurificationPlan) -> PlanEvaluation:
     """Evaluate one plan on one chain.
 
@@ -173,132 +163,90 @@ def evaluate_plan(chain: Chain, plan: PurificationPlan) -> PlanEvaluation:
     )
 
 
-def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, PlanEvaluation]:
+def optimize_chain(chain: Chain, max_k: int = 8, floor: float | None = None,
+                   ) -> tuple[PurificationPlan, PlanEvaluation] | None:
     """Best purification plan for ``chain`` by distillable entanglement.
 
-    For every segmentation, every segment starts at the most selective
-    circuit (k = max_k). Each relaxation step finds the segments whose
-    post-purification rate equals the current bottleneck and decrements
-    their k by one (k = 1 means no purification; if every bottleneck
-    segment has already reached k = 1 the lowest-rate segment still above
-    k = 1 is relaxed instead), evaluating the plan after every step until
-    all segments reach k = 1. The best (plan, evaluation) over all
-    segmentations and relaxation states is returned; ties break toward
-    higher fidelity, then fewer segments, then smaller k-vectors.
+    Exact over every segmentation and every circuit width 1..``max_k``. A
+    plan's D is at most its rate, the slowest segment's. So every segment
+    rate r is tried as the bottleneck, fastest first: each slice of the
+    chain takes its highest-W circuit with rate >= r, and a DP over segment
+    boundaries keeps, per segment count, the highest-W plan. The sweep stops
+    once r falls below the best D found (or ``floor``). Ties break toward
+    higher fidelity, then fewer segments, then smaller k-vectors, then
+    shorter leading segments.
+
+    With ``floor`` set, plans below it are ignored and None is returned when
+    none reaches it; a plan at exactly ``floor`` is still returned, so that
+    an outer search can break ties.
     """
-    best = _optimize_floored(chain, max_k, None)
-    assert best is not None
-    return best
-
-
-def _segmentation_ceiling(tables, cpow: float, n_segs: int) -> float:
-    """Sound upper bound on d_total over every k-vector of one segmentation.
-
-    For each segment, couples its own achievable (rate, fidelity) pairs with
-    the other segments held at their fidelity ceilings; the true optimum
-    cannot exceed the loosest segment's best coupling.
-    """
-    wmax = [max(row[1] for row in table) for table in tables]
-    prefix = [1.0] * (n_segs + 1)
-    for i in range(n_segs):
-        prefix[i + 1] = prefix[i] * wmax[i]
-    suffix = [1.0] * (n_segs + 1)
-    for i in range(n_segs - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * wmax[i]
-    bound = math.inf
-    for i, table in enumerate(tables):
-        others = prefix[i] * suffix[i + 1]
-        seg_best = 0.0
-        for f_out, w, rate in table:
-            if rate <= seg_best:
-                continue
-            fid = f_out if n_segs == 1 else 0.25 + 0.75 * cpow * (w * others)
-            seg_best = max(seg_best, rate * distillable_per_pair(fid))
-        bound = min(bound, seg_best)
-    return bound
-
-
-def _optimize_floored(chain: Chain, max_k: int, floor_d: float | None,
-                      ) -> tuple[PurificationPlan, PlanEvaluation] | None:
-    """Relaxation search; segmentations provably unable to reach ``floor_d``
-    are skipped, so passing the best-so-far of an outer search keeps the
-    combined result exact. Returns None when everything was skipped."""
-    if chain.n_hops > MAX_CHAIN_HOPS:
+    n = chain.n_hops
+    if n > MAX_CHAIN_HOPS:
         raise ValueError(
-            f"chain has {chain.n_hops} hops; optimizer handles at most {MAX_CHAIN_HOPS}")
+            f"chain has {n} hops; optimizer handles at most {MAX_CHAIN_HOPS}")
     noise = chain.noise
-    p2, eta = noise.p2, noise.eta
-
-    # Raw swapped fidelity and pair budget per (start, hops) slice.
-    seg_cache: dict[tuple[int, int], tuple[float, int]] = {}
-
-    def seg_info(start, hops):
-        try:
-            return seg_cache[start, hops]
-        except KeyError:
-            info = (
+    # Every circuit on every (start, hops) slice, fastest first.
+    rows = []
+    for start in range(n):
+        for hops in range(1, min(MAX_SEGMENT_HOPS, n - start) + 1):
+            table = _segment_table(
                 swap_fidelity(chain.fidelities[start:start + hops], noise),
-                min(chain.egrs[start:start + hops]),
-            )
-            seg_cache[start, hops] = info
-            return info
-
-    prune = floor_d is not None and noise.swap_factor >= 0.0
-    best_key = None
-    best_d = -math.inf
-    best = None
-    for seg_lens in enumerate_segmentations(chain.n_hops):
-        n_segs = len(seg_lens)
-        tables = []
-        start = 0
-        for hops in seg_lens:
-            f_raw, min_egr = seg_info(start, hops)
-            tables.append(_segment_table(f_raw, min_egr, p2, eta, max_k))
-            start += hops
-        cpow = noise.swap_factor ** (n_segs - 1)
-        if prune:
-            ceiling = _segmentation_ceiling(tables, cpow, n_segs)
-            if ceiling * (1.0 + 1e-9) + 1e-12 < floor_d:
+                min(chain.egrs[start:start + hops]), noise.p2, noise.eta, max_k)
+            rows.extend((rate, start, hops, (w, f_out, -k))
+                        for k, (f_out, w, rate) in enumerate(table, 1))
+    rows.sort(key=lambda row: row[0], reverse=True)
+    # No plan is faster than the slowest hop's raw rate.
+    top = min(chain.egrs)
+    swap = noise.swap_factor
+    bar = -math.inf if floor is None else floor
+    admitted: dict[tuple[int, int], tuple] = {}  # slice -> (w, f_out, -k, rate)
+    # states[end][segs]: the best cover of hops [0, end) by segs segments, as
+    # (W product, -k per segment, -length per segment, rate), compared on the
+    # first three. W is multiplied left to right, as swap_fidelity does; a
+    # full cover carries its end-to-end fidelity instead. Covers ending at or
+    # before the first slice admitted since the last pass stay as they are.
+    states: list[dict[int, tuple]] = [{0: (1.0, (), (), math.inf)}] + [{} for _ in range(n)]
+    stale = 0
+    best_key = best = None
+    i = 0
+    while i < len(rows) and rows[i][0] >= bar:
+        threshold = rows[i][0]
+        while i < len(rows) and rows[i][0] == threshold:
+            rate, start, hops, choice = rows[i]
+            i += 1
+            held = admitted.get((start, hops))
+            if held is None or choice > held[:3]:
+                admitted[start, hops] = choice + (rate,)
+                stale = min(stale, start)
+        if threshold > top or stale == n:
+            continue
+        scored = states[n]  # full covers scored on the last pass
+        for end in range(stale + 1, n + 1):
+            layer = {}
+            for hops in range(1, min(MAX_SEGMENT_HOPS, end) + 1):
+                row = admitted.get((end - hops, hops))
+                if row is None:
+                    continue
+                w, f_out, neg_k, rate = row
+                for segs, (prod, neg_ks, neg_lens, low) in states[end - hops].items():
+                    value = prod * w
+                    if end == n:
+                        value = f_out if segs == 0 else 0.25 + 0.75 * swap ** segs * value
+                    state = (value, neg_ks + (neg_k,), neg_lens + (-hops,), min(low, rate))
+                    held = layer.get(segs + 1)
+                    if held is None or state[:3] > held[:3]:
+                        layer[segs + 1] = state
+            states[end] = layer
+        stale = n
+        for segs, state in states[n].items():
+            fid, neg_ks, neg_lens, rate = state
+            if rate < bar or scored.get(segs) == state:
                 continue
-        top = max_k - 1
-        fids = [table[top][0] for table in tables]
-        ws = [table[top][1] for table in tables]
-        rates = [table[top][2] for table in tables]
-        ks = [max_k] * n_segs
-        while True:
-            rate = min(rates)
-            # d_total <= rate, so states below the incumbent are visited but
-            # need no evaluation; equality is kept for tie-breaking.
-            if rate >= best_d or best is None:
-                if n_segs == 1:
-                    fid = fids[0]
-                else:
-                    fid = 0.25 + 0.75 * cpow * math.prod(ws)
-                d_total = distillable(rate, fid)
-                key = (
-                    d_total,
-                    fid,
-                    -n_segs,
-                    tuple(-k for k in ks),
-                    tuple(-length for length in seg_lens),
-                )
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_d = d_total
-                    best = (
-                        PurificationPlan(segments=tuple(zip(seg_lens, ks))),
-                        PlanEvaluation(final_fidelity=fid, rate=rate, d_total=d_total),
-                    )
-            relax = [i for i, k in enumerate(ks)
-                     if k > 1 and rates[i] == rate]
-            if not relax:
-                above = [i for i, k in enumerate(ks) if k > 1]
-                if not above:
-                    break
-                lowest = min(rates[i] for i in above)
-                relax = [i for i in above if rates[i] == lowest]
-            for i in relax:
-                k = ks[i] - 1
-                ks[i] = k
-                fids[i], ws[i], rates[i] = tables[i][k - 1]
+            d_total = distillable(rate, fid)
+            key = (d_total, fid, -segs, neg_ks, neg_lens)
+            if d_total >= bar and (best_key is None or key > best_key):
+                best_key, bar = key, d_total
+                segments = tuple((-h, -k) for h, k in zip(neg_lens, neg_ks))
+                best = (PurificationPlan(segments=segments),
+                        PlanEvaluation(final_fidelity=fid, rate=rate, d_total=d_total))
     return best

@@ -96,15 +96,6 @@ def partial_trace(rho: np.ndarray, keep: list[int], n: int) -> np.ndarray:
     return out
 
 
-def _embed_on(rho_small: np.ndarray, qubits: list[int], n: int) -> np.ndarray:
-    """Tensor ``rho_small`` (on the listed qubits) with identity/4 elsewhere is
-    not what we want; this places rho_small on ``qubits`` and the maximally
-    mixed state on the rest."""
-    rest = [q for q in range(n) if q not in qubits]
-    big = np.kron(rho_small, np.eye(1 << len(rest)) / (1 << len(rest)))
-    return _reorder(big, qubits + rest, n)
-
-
 def _reorder(rho: np.ndarray, current_order: list[int], n: int) -> np.ndarray:
     """Permute qubit axes so that qubit q sits at tensor position q."""
     axes = [current_order.index(q) for q in range(n)]

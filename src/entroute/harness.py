@@ -68,8 +68,9 @@ class ExperimentConfig:
         if not self.gate_fidelities:
             raise ConfigError("gate_fidelities: must be non-empty")
         for g in self.gate_fidelities:
-            if not 0.0 < g <= 1.0:
-                raise ConfigError(f"gate_fidelities: values must be in (0, 1], got {g}")
+            # Sets eta too, and a swap with eta <= 0.5 leaves no entanglement.
+            if not 0.5 < g <= 1.0:
+                raise ConfigError(f"gate_fidelities: values must be in (0.5, 1], got {g}")
         if not self.channel_fidelities:
             raise ConfigError("channel_fidelities: must be non-empty")
         for f in self.channel_fidelities:
@@ -122,16 +123,16 @@ class ExperimentConfig:
         data = dict(raw)
         if "seeds" in data:
             data["seeds"] = _parse_seeds(data["seeds"])
+        pairs = ("egr_range", "repeater_egr_range", "extent")
         for name in ("gate_fidelities", "channel_fidelities", "topologies",
-                     "cost_variants"):
-            if name in data:
-                data[name] = tuple(data[name])
-        for name in ("egr_range", "repeater_egr_range", "extent"):
-            if name in data and data[name] is not None:
-                value = tuple(data[name])
-                if len(value) != 2:
-                    raise ConfigError(f"{name}: expected two values, got {data[name]!r}")
-                data[name] = value
+                     "cost_variants") + pairs:
+            if name not in data or (name == "extent" and data[name] is None):
+                continue
+            if not isinstance(data[name], (list, tuple)):
+                raise ConfigError(f"{name}: expected a list, got {data[name]!r}")
+            if name in pairs and len(data[name]) != 2:
+                raise ConfigError(f"{name}: expected two values, got {data[name]!r}")
+            data[name] = tuple(data[name])
         try:
             return cls(**data)
         except TypeError as exc:
@@ -151,17 +152,16 @@ class ExperimentConfig:
 
 
 def _parse_seeds(raw) -> tuple[int, ...]:
-    if isinstance(raw, dict):
-        try:
-            start, count = int(raw["start"]), int(raw["count"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"seeds: expected a list or {{start, count}}, got {raw!r}") from exc
-        if count < 1:
-            raise ConfigError(f"seeds: count must be >= 1, got {count}")
-        return tuple(range(start, start + count))
-    if isinstance(raw, (list, tuple)):
-        return tuple(int(s) for s in raw)
-    raise ConfigError(f"seeds: expected a list or {{start, count}}, got {raw!r}")
+    def integers(values):
+        return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+
+    if isinstance(raw, dict) and integers([raw.get("start"), raw.get("count")]):
+        if raw["count"] < 1:
+            raise ConfigError(f"seeds: count must be >= 1, got {raw['count']}")
+        return tuple(range(raw["start"], raw["start"] + raw["count"]))
+    if isinstance(raw, (list, tuple)) and integers(raw):
+        return tuple(raw)
+    raise ConfigError(f"seeds: expected a list of integers or {{start, count}}, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -183,13 +183,20 @@ class ResultRow:
 RESULT_FIELDS = [f.name for f in fields(ResultRow)]
 
 
-def _zero_row(config, seed, topology, gate, channel, variant, hops=0) -> ResultRow:
-    return ResultRow(
-        experiment_id=config.id, seed=seed, topology=topology,
-        gate_fidelity=gate, channel_fidelity=channel, cost_variant=variant,
-        path_hops=hops, plan="-", rate=0.0, final_fidelity=0.0,
-        d_total=0.0, d_total_normalized=0.0,
-    )
+def _row(config, seed, topology, gate, channel, variant, hops=0, result=None,
+         d_total=None, scale=1.0) -> ResultRow:
+    """One table row. ``result`` is the route's (plan, evaluation); without
+    one the route is recorded as unusable, all zeros. ``d_total`` defaults
+    to the plan's own; its normalized column divides it by ``scale``."""
+    if result is None:
+        return ResultRow(config.id, seed, topology, gate, channel, variant, hops,
+                         "-", 0.0, 0.0, 0.0, 0.0)
+    plan, evaluation = result
+    if d_total is None:
+        d_total = evaluation.d_total
+    return ResultRow(config.id, seed, topology, gate, channel, variant, hops,
+                     plan.summary(), evaluation.rate, evaluation.final_fidelity,
+                     d_total, d_total / scale)
 
 
 def _run_chain_sweep(config: ExperimentConfig) -> list[ResultRow]:
@@ -202,15 +209,9 @@ def _run_chain_sweep(config: ExperimentConfig) -> list[ResultRow]:
                 fidelities=(channel,) * config.chain_hops,
                 noise=NoiseParams(gate, gate),
             )
-            plan, evaluation = optimize_chain(chain)
-            rows.append(ResultRow(
-                experiment_id=config.id, seed=seed, topology="chain",
-                gate_fidelity=gate, channel_fidelity=channel, cost_variant="-",
-                path_hops=config.chain_hops, plan=plan.summary(),
-                rate=evaluation.rate, final_fidelity=evaluation.final_fidelity,
-                d_total=evaluation.d_total,
-                d_total_normalized=evaluation.d_total / config.chain_egr,
-            ))
+            rows.append(_row(config, seed, "chain", gate, channel, "-",
+                             config.chain_hops, optimize_chain(chain),
+                             scale=config.chain_egr))
     return rows
 
 
@@ -226,24 +227,6 @@ def _instance(config: ExperimentConfig, topology: str, channel: float, gate: flo
     return net, s, d
 
 
-def _score_path(net, path, config, seed, topology, gate, channel,
-                variant) -> ResultRow:
-    hops = len(path) - 1
-    if hops > MAX_CHAIN_HOPS:
-        # The route exists but no repeater chain this long fits the
-        # decoherence budget; record it as unusable rather than fail.
-        return _zero_row(config, seed, topology, gate, channel, variant, hops=hops)
-    plan, evaluation = optimize_chain(chain_from_path(net, path))
-    mean_egr = net.mean_channel_egr()
-    return ResultRow(
-        experiment_id=config.id, seed=seed, topology=topology,
-        gate_fidelity=gate, channel_fidelity=channel, cost_variant=variant,
-        path_hops=hops, plan=plan.summary(), rate=evaluation.rate,
-        final_fidelity=evaluation.final_fidelity, d_total=evaluation.d_total,
-        d_total_normalized=evaluation.d_total / mean_egr,
-    )
-
-
 def _run_route_compare(config: ExperimentConfig) -> list[ResultRow]:
     rows = []
     for seed in config.seeds:
@@ -252,33 +235,29 @@ def _run_route_compare(config: ExperimentConfig) -> list[ResultRow]:
                 for topology in config.topologies:
                     net, s, d = _instance(config, topology, channel, gate, seed,
                                           config.egr_range)
+                    cell = (config, seed, topology, gate, channel)
                     mean_egr = net.mean_channel_egr()
                     if config.include_exhaustive:
                         try:
                             routed = best_path_exhaustive(net, s, d, config.cutoff)
-                            rows.append(ResultRow(
-                                experiment_id=config.id, seed=seed, topology=topology,
-                                gate_fidelity=gate, channel_fidelity=channel,
-                                cost_variant="exhaustive",
-                                path_hops=len(routed.path) - 1,
-                                plan=routed.plan.summary(),
-                                rate=routed.evaluation.rate,
-                                final_fidelity=routed.evaluation.final_fidelity,
-                                d_total=routed.evaluation.d_total,
-                                d_total_normalized=routed.evaluation.d_total / mean_egr,
-                            ))
                         except NoPathError:
-                            rows.append(_zero_row(config, seed, topology, gate,
-                                                  channel, "exhaustive"))
+                            rows.append(_row(*cell, "exhaustive"))
+                        else:
+                            rows.append(_row(*cell, "exhaustive", len(routed.path) - 1,
+                                             (routed.plan, routed.evaluation),
+                                             scale=mean_egr))
                     for variant in config.cost_variants:
                         try:
                             path = shortest_weighted_path(net, s, d, LinkCost(variant))
                         except NoPathError:
-                            rows.append(_zero_row(config, seed, topology, gate,
-                                                  channel, variant))
+                            rows.append(_row(*cell, variant))
                             continue
-                        rows.append(_score_path(net, path, config, seed, topology,
-                                                gate, channel, variant))
+                        hops = len(path) - 1
+                        # A route beyond the decoherence budget exists but
+                        # no repeater chain that long works: an unusable row.
+                        result = (optimize_chain(chain_from_path(net, path))
+                                  if hops <= MAX_CHAIN_HOPS else None)
+                        rows.append(_row(*cell, variant, hops, result, scale=mean_egr))
     return rows
 
 
@@ -294,24 +273,16 @@ def _run_multipath_compare(config: ExperimentConfig) -> list[ResultRow]:
                         egr_range = config.egr_range
                     net, s, d = _instance(config, topology, channel, gate, seed,
                                           egr_range)
-                    mean_egr = net.mean_channel_egr()
+                    cell = (config, seed, topology, gate, channel, config.multipath_cost)
                     routed, cumulative = multipath_greedy(
                         net, s, d, config.max_paths, LinkCost(config.multipath_cost))
                     if not routed:
-                        rows.append(_zero_row(config, seed, topology, gate, channel,
-                                              config.multipath_cost))
+                        rows.append(_row(*cell))
                         continue
+                    mean_egr = net.mean_channel_egr()
                     for rp, cum_d in zip(routed, cumulative):
-                        rows.append(ResultRow(
-                            experiment_id=config.id, seed=seed, topology=topology,
-                            gate_fidelity=gate, channel_fidelity=channel,
-                            cost_variant=config.multipath_cost,
-                            path_hops=len(rp.path) - 1, plan=rp.plan.summary(),
-                            rate=rp.evaluation.rate,
-                            final_fidelity=rp.evaluation.final_fidelity,
-                            d_total=cum_d,
-                            d_total_normalized=cum_d / mean_egr,
-                        ))
+                        rows.append(_row(*cell, len(rp.path) - 1, (rp.plan, rp.evaluation),
+                                         d_total=cum_d, scale=mean_egr))
     return rows
 
 

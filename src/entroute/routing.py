@@ -16,10 +16,14 @@ from functools import lru_cache
 from heapq import heappop, heappush
 
 from .chainopt import (MAX_CHAIN_HOPS, PlanEvaluation, PurificationPlan,
-                       _optimize_floored, _segment_fid_ceiling, chain_from_path,
-                       enumerate_segmentations, optimize_chain)
+                       chain_from_path, enumerate_segmentations, optimize_chain)
 from .netgraph import Network
+from .purify import MAX_CIRCUIT_K, circuit_for, evaluate_circuit
 from .werner import NoiseParams, distillable_per_pair, swap_fidelity
+
+# The exhaustive search's floored optimizer calls go through this name, which
+# bench/layers.py rebinds to count them apart from the unfloored ones.
+_optimize_floored = optimize_chain
 
 
 class NoPathError(Exception):
@@ -160,13 +164,11 @@ def _fidelity_ceiling_table(cutoff: int, f_raw: float, p2: float,
     exceeds the path's minimum EGR.
     """
     noise = NoiseParams(p2, eta)
-    if noise.swap_factor < 0.0:
-        return tuple([1.0] * (cutoff + 1))
-    best_seg_fid = {
-        seg_hops: _segment_fid_ceiling(
-            swap_fidelity([f_raw] * seg_hops, noise), p2, eta, 8)
-        for seg_hops in (1, 2, 3)
-    }
+    best_seg_fid = {}
+    for seg_hops in (1, 2, 3):
+        f_seg = swap_fidelity([f_raw] * seg_hops, noise)
+        best_seg_fid[seg_hops] = max(evaluate_circuit(circuit_for(k), f_seg, noise).f_out
+                                     for k in range(1, MAX_CIRCUIT_K + 1))
     table = [0.0] * (cutoff + 1)
     for n_hops in range(1, cutoff + 1):
         best = 0.0
@@ -204,8 +206,8 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10) -> RoutedPath:
     def consider(path) -> None:
         nonlocal best, best_d
         hops = len(path) - 1
-        result = _optimize_floored(chain_from_path(net, path), 8,
-                                   best_d if best is not None else None)
+        result = _optimize_floored(chain_from_path(net, path),
+                                   floor=best_d if best is not None else None)
         if result is None:
             return
         plan, evaluation = result

@@ -22,7 +22,9 @@ class NoiseParams:
 
     p2:  survival probability of a two-qubit gate; with probability 1 - p2
          the gate depolarizes the pair of qubits it acts on.
-    eta: probability that a measurement reports the correct outcome.
+    eta: probability that a measurement reports the correct outcome; it
+         must exceed 1/2, or a swap leaves no entanglement (the swap factor
+         p2 (4 eta^2 - 1) / 3 would be <= 0).
     """
 
     p2: float = 1.0
@@ -31,8 +33,8 @@ class NoiseParams:
     def __post_init__(self):
         if not 0.0 < self.p2 <= 1.0:
             raise ValueError(f"p2 must be in (0, 1], got {self.p2}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
+        if not 0.5 < self.eta <= 1.0:
+            raise ValueError(f"eta must be in (0.5, 1], got {self.eta}")
 
     @property
     def swap_factor(self) -> float:

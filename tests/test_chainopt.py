@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from entroute.chainopt import (Chain, PurificationPlan,
                                enumerate_segmentations, evaluate_plan,
@@ -143,7 +145,8 @@ def test_optimize_single_hop_matches_brute_force_over_k():
     assert evaluation.d_total == best[0]
 
 
-def test_optimize_matches_small_instance_brute_force():
+@pytest.mark.parametrize("max_k", [4, 8])
+def test_optimize_matches_small_instance_brute_force(max_k):
     rng = random.Random(11)
     for trial in range(60):
         n = rng.randint(1, 3)
@@ -152,13 +155,120 @@ def test_optimize_matches_small_instance_brute_force():
             tuple(round(rng.uniform(0.75, 0.999), 6) for _ in range(n)),
             PERFECT if trial % 2 == 0 else NOISY,
         )
-        _, evaluation = optimize_chain(chain, max_k=4)
+        plan, evaluation = optimize_chain(chain, max_k=max_k)
         best = max(
             evaluate_plan(chain, PurificationPlan(tuple(zip(seg_lens, ks)))).d_total
             for seg_lens in enumerate_segmentations(n)
-            for ks in itertools.product(range(1, 5), repeat=len(seg_lens))
+            for ks in itertools.product(range(1, max_k + 1), repeat=len(seg_lens))
         )
         assert evaluation.d_total == best
+        assert evaluate_plan(chain, plan) == evaluation
+
+
+def test_optimize_tie_breaks_match_brute_force():
+    # Perfect links, unit EGRs and repeated values make many plans tie on D.
+    rng = random.Random(5)
+    for trial in range(150):
+        n = rng.randint(1, 4)
+        max_k = rng.choice((2, 3, 4))
+        chain = Chain(
+            tuple(rng.choice((1, 2, 4, 8, rng.randint(1, 40))) for _ in range(n)),
+            tuple(rng.choice((1.0, 0.99, 0.9, rng.uniform(0.7, 1.0))) for _ in range(n)),
+            PERFECT if trial % 2 else NOISY,
+        )
+        best = None
+        for seg_lens in enumerate_segmentations(n):
+            for ks in itertools.product(range(1, max_k + 1), repeat=len(seg_lens)):
+                plan = PurificationPlan(tuple(zip(seg_lens, ks)))
+                evaluation = evaluate_plan(chain, plan)
+                key = (evaluation.d_total, evaluation.final_fidelity, -len(ks),
+                       tuple(-k for k in ks), tuple(-h for h in seg_lens))
+                if best is None or key > best[0]:
+                    best = (key, plan, evaluation)
+        assert optimize_chain(chain, max_k=max_k) == best[1:]
+
+
+def test_optimize_finds_pinned_optimum():
+    # Lowering k one step at a time from 8 stops at 1:4+1:2+1:5 (D = 0.7496).
+    plan, evaluation = optimize_chain(Chain((16, 8, 32), (0.95, 0.9, 0.92)))
+    assert plan.summary() == "1:4+1:2+1:4"
+    assert evaluation.d_total == 0.7758025885474138
+
+
+CHAINS = st.integers(1, 6).flatmap(lambda n: st.builds(
+    Chain, st.tuples(*[st.integers(1, 64)] * n), st.tuples(*[st.floats(0.8, 0.999)] * n),
+    st.sampled_from([PERFECT, NOISY])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chain=CHAINS, hop=st.integers(0, 5), rise=st.integers(1, 32))
+# Lowering k one step at a time from 8 dropped D here: 0.6790 -> 0.6302.
+@example(chain=Chain((53, 48), (0.837, 0.862)), hop=0, rise=32)
+def test_optimize_d_never_falls_when_an_egr_rises(chain, hop, rise):
+    egrs = list(chain.egrs)
+    egrs[hop % chain.n_hops] += rise
+    raised = dataclasses.replace(chain, egrs=tuple(egrs))
+    assert optimize_chain(raised)[1].d_total >= optimize_chain(chain)[1].d_total
+
+
+def test_optimize_floor_contract():
+    chain = Chain((16, 8, 32, 20), (0.95, 0.9, 0.92, 0.97), NOISY)
+    best = optimize_chain(chain)
+    d_best = best[1].d_total
+    # A tie at the floor is returned: an outer search breaks it.
+    assert optimize_chain(chain, floor=d_best) == best
+    assert optimize_chain(chain, floor=0.5 * d_best) == best
+    assert optimize_chain(chain, floor=math.nextafter(d_best, math.inf)) is None
+
+
+def _segment_rate(chain, start, hops, k):
+    f_seg = swap_fidelity(chain.fidelities[start:start + hops], chain.noise)
+    circuit = circuit_for(k)
+    outcome = evaluate_circuit(circuit, f_seg, chain.noise)
+    return post_purification_rate(min(chain.egrs[start:start + hops]), circuit, outcome)
+
+
+def _relaxation_d(chain, max_k=8):
+    """The paper's search: per segmentation, start every segment at k = max_k
+    and lower k by one on the rate-bottleneck segments (when those are all at
+    k = 1, on the slowest segment still purifying), scoring every state."""
+    best = 0.0
+    for seg_lens in enumerate_segmentations(chain.n_hops):
+        starts = [sum(seg_lens[:i]) for i in range(len(seg_lens))]
+        ks = [max_k] * len(seg_lens)
+        while True:
+            plan = PurificationPlan(tuple(zip(seg_lens, ks)))
+            best = max(best, evaluate_plan(chain, plan).d_total)
+            above = [i for i, k in enumerate(ks) if k > 1]
+            if not above:
+                break
+            rates = [_segment_rate(chain, *seg) for seg in zip(starts, seg_lens, ks)]
+            relax = [i for i in above if rates[i] == min(rates)]
+            if not relax:
+                lowest = min(rates[i] for i in above)
+                relax = [i for i in above if rates[i] == lowest]
+            for i in relax:
+                ks[i] -= 1
+    return best
+
+
+def test_optimize_never_below_the_relaxation():
+    rng = random.Random(23)
+    above = 0
+    trials = 40
+    for _ in range(trials):
+        n = rng.randint(4, 10)
+        gate = rng.uniform(0.985, 1.0)
+        chain = Chain(
+            tuple(rng.randint(4, 64) for _ in range(n)),
+            tuple(rng.uniform(0.85, 0.999) for _ in range(n)),
+            NoiseParams(gate, gate),
+        )
+        exact = optimize_chain(chain)[1].d_total
+        relaxed = _relaxation_d(chain)
+        assert exact >= relaxed
+        above += exact > relaxed
+    print(f"exact optimizer above the relaxation on {above} of {trials} chains")
 
 
 def test_optimize_rejects_long_chains():
@@ -175,10 +285,7 @@ def test_bottleneck_law():
             rates = []
             start = 0
             for hops, k in plan.segments:
-                f_seg = swap_fidelity(chain.fidelities[start:start + hops], chain.noise)
-                outcome = evaluate_circuit(circuit_for(k), f_seg, chain.noise)
-                rates.append(post_purification_rate(
-                    min(chain.egrs[start:start + hops]), circuit_for(k), outcome))
+                rates.append(_segment_rate(chain, start, hops, k))
                 start += hops
             assert evaluation.rate == min(rates)
             assert evaluation.d_total <= distillable(min(rates), 1.0) + 1e-12

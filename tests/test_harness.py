@@ -168,6 +168,8 @@ def test_config_validation_messages():
         _chain_config(seeds=(1, 1))
     with pytest.raises(ConfigError, match="gate_fidelities"):
         _chain_config(gate_fidelities=())
+    with pytest.raises(ConfigError, match="gate_fidelities"):
+        _chain_config(gate_fidelities=(0.3,))
     with pytest.raises(ConfigError, match="kind"):
         ExperimentConfig(id="x", kind="other")
     with pytest.raises(ConfigError, match="extent"):
@@ -184,6 +186,10 @@ def test_config_from_dict_diagnostics():
     config = ExperimentConfig.from_dict(
         {"id": "x", "kind": "chain-sweep", "seeds": {"start": 4, "count": 3}})
     assert config.seeds == (4, 5, 6)
+    with pytest.raises(ConfigError, match="gate_fidelities"):
+        ExperimentConfig.from_dict({"id": "x", "kind": "chain-sweep", "gate_fidelities": 0.99})
+    with pytest.raises(ConfigError, match="seeds"):
+        ExperimentConfig.from_dict({"id": "x", "kind": "chain-sweep", "seeds": [1.7, 2.2]})
 
 
 def test_cli_round_trip(tmp_path):

@@ -43,6 +43,8 @@ def test_noise_params_validation():
         NoiseParams(0.0, 1.0)
     with pytest.raises(ValueError):
         NoiseParams(1.0, 1.5)
+    with pytest.raises(ValueError, match="eta"):
+        NoiseParams(0.99, 0.5)
     assert PERFECT.swap_factor == 1.0
 
 
