@@ -16,12 +16,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .netgraph import Network
-from .purify import circuit_for, evaluate_circuit, post_purification_rate
+from .purify import MAX_CIRCUIT_K, circuit_for, evaluate_circuit, post_purification_rate
 from .werner import (NoiseParams, PERFECT, check_fidelity, distillable,
-                     fidelity_to_w, swap_fidelity)
+                     distillable_per_pair, fidelity_to_w, swap_fidelity)
 
 MAX_CHAIN_HOPS = 10
 MAX_SEGMENT_HOPS = 3
+# The bound multiplies fidelities in another order than the optimizer does,
+# so without this relative slack an exact bound could sit an ulp below a D.
+_BOUND_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -250,3 +253,74 @@ def optimize_chain(chain: Chain, max_k: int = 8, floor: float | None = None,
                 best = (PurificationPlan(segments=segments),
                         PlanEvaluation(final_fidelity=fid, rate=rate, d_total=d_total))
     return best
+
+
+def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int,
+                    max_hops: int, floor: float | None = None) -> tuple[float, ...]:
+    """Upper bound on the optimal D of a uniform chain, by hop count.
+
+    Entry L (0..``max_hops``) bounds ``optimize_chain(chain).d_total``
+    for every L-hop chain of raw fidelity ``f_raw`` under ``noise`` whose hop
+    EGRs are at most ``max_egr`` with minimum ``min_egr``. A plan's fidelity
+    does not depend on EGRs and a segment's rate can only rise with its EGR,
+    so the segment holding the minimum hop is rated at ``min_egr`` and every
+    other one at ``max_egr``. Every such segment rate r is tried as the
+    bottleneck: a DP over hop count places exactly one min-EGR segment, takes
+    per segment the highest-W circuit with rate >= r, and scores r * d(F).
+    The bound never falls as ``min_egr`` or ``max_egr`` rises.
+
+    With ``floor`` set, bottlenecks too slow to reach it are skipped: an entry
+    at or above ``floor`` is exact, one below it only says "below floor".
+    """
+    swap = noise.swap_factor
+    # (rate, holds the minimum hop, hops, W * swap) for every segment circuit.
+    rows = []
+    for hops in range(1, MAX_SEGMENT_HOPS + 1):
+        f_seg = swap_fidelity([f_raw] * hops, noise)
+        for pinned, egr in ((True, min_egr), (False, max_egr)):
+            table = _segment_table(f_seg, egr, noise.p2, noise.eta, MAX_CIRCUIT_K)
+            rows.extend((rate, pinned, hops, w * swap) for _, w, rate in table)
+    rows.sort(key=lambda row: row[0], reverse=True)
+    bar = -math.inf if floor is None else floor / _BOUND_SLACK
+    bound = [0.0] * (max_hops + 1)
+    # The highest W * swap per segment length at least as fast as the
+    # current threshold, for segments rated at max_egr (free) and at min_egr
+    # (held); 0, a useless W, until a circuit is admitted.
+    free = [0.0] * (MAX_SEGMENT_HOPS + 1)
+    held = [0.0] * (MAX_SEGMENT_HOPS + 1)
+    # Best W * swap product over covers of L hops without / with the
+    # min-EGR segment, at the current threshold.
+    without = [1.0] + [0.0] * max_hops
+    with_min = [0.0] * (max_hops + 1)
+    i = 0
+    # D <= r, so a threshold below every entry (or the floor) raises none.
+    while i < len(rows) and rows[i][0] * _BOUND_SLACK >= max(bar, min(bound[1:], default=0.0)):
+        threshold = rows[i][0]
+        while i < len(rows) and rows[i][0] == threshold:
+            _, pinned, hops, w_swap = rows[i]
+            i += 1
+            admitted = held if pinned else free
+            if w_swap > admitted[hops]:
+                admitted[hops] = w_swap
+        if threshold > min_egr:
+            continue  # no segment holding the minimum hop is this fast
+        reach = threshold * _BOUND_SLACK
+        for length in range(1, max_hops + 1):
+            best_without = best_with = 0.0
+            for hops in range(1, min(MAX_SEGMENT_HOPS, length) + 1):
+                rest = length - hops
+                value = without[rest] * free[hops]
+                if value > best_without:
+                    best_without = value
+                value = max(with_min[rest] * free[hops], without[rest] * held[hops])
+                if value > best_with:
+                    best_with = value
+            without[length] = best_without
+            # Products only rise as the threshold falls; one that did not
+            # rise scores lower than at the last threshold.
+            if best_with > with_min[length]:
+                with_min[length] = best_with
+                if reach > bound[length]:
+                    fid = min(1.0, 0.25 + 0.75 * best_with / swap)
+                    bound[length] = max(bound[length], reach * distillable_per_pair(fid))
+    return tuple(bound)

@@ -2,7 +2,8 @@
 
 Subcommands map to the experiment kinds: ``chain`` (chain-sweep), ``route``
 (route-compare), ``multipath`` (multipath-compare). Exit codes: 0 success,
-1 config error, 2 I/O error.
+1 config error, 2 I/O error, 3 runtime error (the experiment itself failed);
+each error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -49,7 +50,11 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"entroute: config error: {exc}", file=sys.stderr)
         return 1
-    rows = run_experiment(config)
+    try:
+        rows = run_experiment(config)
+    except Exception as exc:  # noqa: BLE001 -- any failure mid-run is exit 3
+        print(f"entroute: runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     try:
         write_results(rows, args.format, args.out, build_metadata(config))
     except OSError as exc:

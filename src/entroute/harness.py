@@ -63,6 +63,17 @@ class ExperimentConfig:
             raise ConfigError(f"kind: must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         if not self.seeds:
             raise ConfigError("seeds: must be non-empty")
+        for name in ("seeds", "egr_range", "repeater_egr_range", "extent"):
+            values = getattr(self, name)
+            if values is not None and not all(map(_is_int, values)):
+                raise ConfigError(f"{name}: values must be integers, got {values!r}")
+        for name in ("chain_hops", "chain_egr", "hop_separation", "cutoff", "max_paths"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name}: must be an integer, got {getattr(self, name)!r}")
+        for name in ("gate_fidelities", "channel_fidelities"):
+            for value in getattr(self, name):
+                if not (_is_int(value) or isinstance(value, float)):
+                    raise ConfigError(f"{name}: values must be numbers, got {value!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds: must be distinct")
         if not self.gate_fidelities:
@@ -91,8 +102,9 @@ class ExperimentConfig:
                 f"extent: {rows}x{cols} cannot hold hop separation {self.hop_separation}")
         if not 1 <= self.egr_range[0] <= self.egr_range[1]:
             raise ConfigError(f"egr_range: invalid range {self.egr_range}")
-        if self.cutoff < 1:
-            raise ConfigError(f"cutoff: must be >= 1, got {self.cutoff}")
+        if not 1 <= self.cutoff <= MAX_CHAIN_HOPS:
+            # A longer path has no purification plan to score.
+            raise ConfigError(f"cutoff: must be 1..{MAX_CHAIN_HOPS}, got {self.cutoff}")
         for variant in self.cost_variants:
             if variant not in [c.value for c in LinkCost]:
                 raise ConfigError(f"cost_variants: unknown cost {variant!r}")
@@ -151,15 +163,17 @@ class ExperimentConfig:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
-def _parse_seeds(raw) -> tuple[int, ...]:
-    def integers(values):
-        return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    if isinstance(raw, dict) and integers([raw.get("start"), raw.get("count")]):
+
+def _parse_seeds(raw) -> tuple[int, ...]:
+    """A seed list or ``{start, count}`` as a tuple; the config checks the values."""
+    if isinstance(raw, dict) and all(map(_is_int, (raw.get("start"), raw.get("count")))):
         if raw["count"] < 1:
             raise ConfigError(f"seeds: count must be >= 1, got {raw['count']}")
         return tuple(range(raw["start"], raw["start"] + raw["count"]))
-    if isinstance(raw, (list, tuple)) and integers(raw):
+    if isinstance(raw, (list, tuple)):
         return tuple(raw)
     raise ConfigError(f"seeds: expected a list of integers or {{start, count}}, got {raw!r}")
 

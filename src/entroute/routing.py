@@ -12,17 +12,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from heapq import heappop, heappush
 
 from .chainopt import (MAX_CHAIN_HOPS, PlanEvaluation, PurificationPlan,
-                       chain_from_path, enumerate_segmentations, optimize_chain)
+                       chain_from_path, d_bound_by_hops, optimize_chain)
 from .netgraph import Network
-from .purify import MAX_CIRCUIT_K, circuit_for, evaluate_circuit
-from .werner import NoiseParams, distillable_per_pair, swap_fidelity
+from .werner import swap_fidelity  # noqa: F401  (rebound by bench/layers.py)
 
 # The exhaustive search's floored optimizer calls go through this name, which
-# bench/layers.py rebinds to count them apart from the unfloored ones.
+# bench/layers.py rebinds to count them apart from the unfloored ones. It
+# also rebinds routing.swap_fidelity, which routing no longer calls; both
+# names stay until bench/ changes.
 _optimize_floored = optimize_chain
 
 
@@ -153,52 +153,31 @@ def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP,
     raise NoPathError(f"no path from {s!r} to {d!r}")
 
 
-@lru_cache(maxsize=None)
-def _fidelity_ceiling_table(cutoff: int, f_raw: float, p2: float,
-                            eta: float) -> tuple[float, ...]:
-    """Upper bound on distillable ebits per pair for an L-hop chain of
-    uniform raw fidelity, for L = 0..cutoff (index by hop count).
-
-    Sound because the end-to-end fidelity of any plan is at most the swap of
-    every segment's best achievable circuit output, and the rate never
-    exceeds the path's minimum EGR.
-    """
-    noise = NoiseParams(p2, eta)
-    best_seg_fid = {}
-    for seg_hops in (1, 2, 3):
-        f_seg = swap_fidelity([f_raw] * seg_hops, noise)
-        best_seg_fid[seg_hops] = max(evaluate_circuit(circuit_for(k), f_seg, noise).f_out
-                                     for k in range(1, MAX_CIRCUIT_K + 1))
-    table = [0.0] * (cutoff + 1)
-    for n_hops in range(1, cutoff + 1):
-        best = 0.0
-        for seg_lens in enumerate_segmentations(n_hops):
-            fid = swap_fidelity([best_seg_fid[h] for h in seg_lens], noise)
-            best = max(best, distillable_per_pair(fid))
-        table[n_hops] = best
-    return tuple(table)
-
-
 def best_path_exhaustive(net: Network, s, d, cutoff: int = 10) -> RoutedPath:
     """Optimize every simple path within the cutoff and return the best.
 
-    The maximum is exact: subtrees, paths, and plan families are skipped
-    only when a sound upper bound on their distillable entanglement (min
-    path EGR times a fidelity ceiling) falls strictly below the best
-    already found. The weighted shortest paths are scored first so the
-    bound starts tight. Ties break toward shorter paths, then lexicographic
+    The maximum is exact: a DFS prefix, and with it every path through it,
+    is skipped only when a sound upper bound on its distillable entanglement
+    falls strictly below the best already found. The first, cheap bound is
+    the prefix's minimum hop EGR, since D <= rate <= min EGR. When every
+    channel has the same raw fidelity, the second is
+    ``chainopt.d_bound_by_hops`` for that minimum EGR and the network's
+    maximum EGR, which bounds rate and fidelity together; it is computed
+    once per minimum EGR and call, and a prefix is cut when no reachable
+    path length beats the best D. A network of mixed raw fidelities uses the
+    first bound only. The weighted shortest paths are scored first so the
+    bounds start tight. Ties break toward shorter paths, then lexicographic
     node order.
     """
     _check_endpoints(net, s, d)
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    fidelities = {ch.raw_fidelity for ch in net.channels()}
-    if len(fidelities) == 1:
-        ceiling = _fidelity_ceiling_table(
-            cutoff, fidelities.pop(), net.noise.p2, net.noise.eta)
-    else:
-        ceiling = tuple([1.0] * (cutoff + 1))
-    ceiling_from = [max(ceiling[length:]) for length in range(cutoff + 1)]
+    channels = net.channels()
+    fidelities = {ch.raw_fidelity for ch in channels}
+    f_raw = fidelities.pop() if len(fidelities) == 1 else None
+    top = max(ch.egr for ch in channels)
+    # min EGR -> (its bound by hop count, the bound's suffix maxima)
+    bounds: dict[int, tuple[tuple[float, ...], list[float]]] = {}
 
     best: RoutedPath | None = None
     best_d = -1.0
@@ -218,24 +197,34 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10) -> RoutedPath:
             best = RoutedPath(tuple(path), plan, evaluation)
             best_d = evaluation.d_total
     # Score the weighted shortest paths first: they are near-optimal in
-    # practice, which makes the bound below prune most of the enumeration.
+    # practice, which makes the bounds below prune most of the enumeration.
+    seeded = set()
     for cost in LinkCost:
         try:
             seed_path = shortest_weighted_path(net, s, d, cost)
         except NoPathError:
             break
-        if len(seed_path) - 1 <= cutoff:
+        if len(seed_path) - 1 <= cutoff and tuple(seed_path) not in seeded:
+            seeded.add(tuple(seed_path))
             consider(seed_path)
 
     def prune(hops_used, hops_to_go, min_egr):
-        return min_egr * ceiling_from[hops_used + hops_to_go] < best_d
+        if min_egr < best_d:
+            return True
+        if f_raw is None or best is None:
+            return False
+        if min_egr not in bounds:
+            # Entries below best_d only say so, and best_d never falls.
+            bound = d_bound_by_hops(f_raw, net.noise, min_egr, top, cutoff, floor=best_d)
+            bounds[min_egr] = bound, [max(bound[length:]) for length in range(cutoff + 1)]
+        bound, bound_from = bounds[min_egr]
+        hops = hops_used + hops_to_go
+        # With no hops to go the prefix is a whole path of exactly that length.
+        return (bound if hops_to_go == 0 else bound_from)[hops] < best_d
 
     for path in _iter_simple_paths(net, s, d, cutoff, prune=prune):
-        hops = len(path) - 1
-        min_egr = min(net.channel(u, v).egr for u, v in zip(path, path[1:]))
-        if best is not None and min_egr * ceiling[hops] < best_d:
-            continue
-        consider(path)
+        if tuple(path) not in seeded:
+            consider(path)
     if best is None:
         raise NoPathError(f"no path from {s!r} to {d!r} within {cutoff} hops")
     return best

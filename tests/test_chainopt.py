@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entroute.chainopt import (Chain, PurificationPlan,
+from entroute.chainopt import (MAX_CHAIN_HOPS, Chain, PurificationPlan, d_bound_by_hops,
                                enumerate_segmentations, evaluate_plan,
                                no_purification_plan, optimize_chain)
 from entroute.purify import (circuit_for, evaluate_circuit, oracle_simulate_step,
@@ -219,6 +219,38 @@ def test_optimize_floor_contract():
     assert optimize_chain(chain, floor=d_best) == best
     assert optimize_chain(chain, floor=0.5 * d_best) == best
     assert optimize_chain(chain, floor=math.nextafter(d_best, math.inf)) is None
+
+
+UNIFORM_CHAINS = st.tuples(st.integers(1, 10), st.floats(0.8, 0.999)).flatmap(
+    lambda nf: st.builds(Chain, st.tuples(*[st.integers(1, 64)] * nf[0]),
+                         st.just((nf[1],) * nf[0]),
+                         st.sampled_from([PERFECT, NOISY, NoiseParams(0.97, 0.995)])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chain=UNIFORM_CHAINS, rise=st.integers(1, 32), cut=st.floats(0.0, 1.0))
+def test_d_bound_by_hops_is_sound_monotone_and_floored(chain, rise, cut):
+    n, low, high = chain.n_hops, min(chain.egrs), max(chain.egrs)
+    f_raw = chain.fidelities[0]
+    bound = d_bound_by_hops(f_raw, chain.noise, low, high, MAX_CHAIN_HOPS)
+    assert len(bound) == MAX_CHAIN_HOPS + 1
+    assert bound[n] >= optimize_chain(chain)[1].d_total
+    raised = d_bound_by_hops(f_raw, chain.noise, low + rise, max(high, low + rise),
+                             MAX_CHAIN_HOPS)
+    assert all(b >= a for a, b in zip(bound, raised))
+    floor = cut * max(bound)
+    floored = d_bound_by_hops(f_raw, chain.noise, low, high, MAX_CHAIN_HOPS, floor=floor)
+    for exact, entry in zip(bound, floored):
+        assert entry == exact if exact >= floor else entry < floor
+
+
+def test_d_bound_by_hops_is_tight_on_equal_egrs():
+    for noise in (PERFECT, NOISY):
+        bound = d_bound_by_hops(0.95, noise, 20, 20, MAX_CHAIN_HOPS)
+        assert bound[0] == 0.0
+        for n in range(1, MAX_CHAIN_HOPS + 1):
+            d_total = optimize_chain(Chain((20,) * n, (0.95,) * n, noise))[1].d_total
+            assert d_total <= bound[n] <= d_total * (1 + 1e-8)
 
 
 def _segment_rate(chain, start, hops, k):

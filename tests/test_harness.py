@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from entroute import cli
 from entroute.chainopt import chain_from_path, evaluate_plan, no_purification_plan
 from entroute.cli import main
 from entroute.harness import (ConfigError, ExperimentConfig, RESULT_FIELDS,
@@ -176,6 +177,13 @@ def test_config_validation_messages():
         _route_config(extent=(3, 3), hop_separation=4)
     with pytest.raises(ConfigError, match="egr_equivalence"):
         _route_config(egr_equivalence="node")
+    with pytest.raises(ConfigError, match="seeds"):
+        _chain_config(seeds=(1.5,))
+    with pytest.raises(ConfigError, match="cutoff"):
+        _route_config(cutoff=11)
+    with pytest.raises(ConfigError, match="channel_fidelities"):
+        ExperimentConfig.from_dict({"id": "x", "kind": "chain-sweep",
+                                    "channel_fidelities": ["a"]})
 
 
 def test_config_from_dict_diagnostics():
@@ -190,6 +198,8 @@ def test_config_from_dict_diagnostics():
         ExperimentConfig.from_dict({"id": "x", "kind": "chain-sweep", "gate_fidelities": 0.99})
     with pytest.raises(ConfigError, match="seeds"):
         ExperimentConfig.from_dict({"id": "x", "kind": "chain-sweep", "seeds": [1.7, 2.2]})
+    with pytest.raises(ConfigError, match="egr_range"):
+        ExperimentConfig.from_dict({"id": "x", "kind": "route-compare", "egr_range": ["a", 32]})
 
 
 def test_cli_round_trip(tmp_path):
@@ -206,7 +216,7 @@ def test_cli_round_trip(tmp_path):
     assert "cli-chain" in content
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({"id": "x", "kind": "chain-sweep"}))
     # kind mismatch -> config error
@@ -221,6 +231,13 @@ def test_cli_exit_codes(tmp_path):
     # unwritable output -> i/o error
     assert main(["chain", "--config", str(config_path),
                  "--out", str(tmp_path / "missing-dir" / "o.csv")]) == 2
+    # a failure inside the experiment -> runtime error, one line, no traceback
+    def fail(config):
+        raise ValueError("chain has 11 hops")
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    capsys.readouterr()
+    assert main(["chain", "--config", str(config_path), "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err == "entroute: runtime error: ValueError: chain has 11 hops\n"
 
 
 def test_cli_seed_override(tmp_path):

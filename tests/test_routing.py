@@ -4,7 +4,8 @@ import random
 import pytest
 
 from entroute.chainopt import chain_from_path, optimize_chain
-from entroute.netgraph import Channel, Network, TopologySpec, generate_network
+from entroute.netgraph import (Channel, Network, TopologySpec, endpoints_for_separation,
+                               generate_network)
 from entroute.routing import (LinkCost, NoPathError, best_path_exhaustive,
                               enumerate_paths, multipath_greedy,
                               shortest_weighted_path)
@@ -150,6 +151,43 @@ def test_exhaustive_dominates_heuristics():
                 path = shortest_weighted_path(net, s, d, cost)
                 _, evaluation = optimize_chain(chain_from_path(net, path))
                 assert best.evaluation.d_total >= evaluation.d_total
+
+
+def _brute_force_exhaustive(net, s, d, cutoff):
+    # Optimize every path; the highest D wins, then fewer hops, then node order.
+    best = None
+    for path in enumerate_paths(net, s, d, cutoff):
+        _, evaluation = optimize_chain(chain_from_path(net, path))
+        key = (-evaluation.d_total, len(path) - 1, path)
+        if best is None or key < best:
+            best = key
+    return -best[0], best[2]
+
+
+def _mixed_fidelity(net, seed):
+    rng = random.Random(seed)
+    return Network([Channel(ch.u, ch.v, ch.egr, rng.choice((0.95, 0.97, 0.99)))
+                    for ch in net.channels()], noise=net.noise)
+
+
+@pytest.mark.parametrize("kind,extent,hops,cutoff", [
+    ("triangular", (3, 5), 3, 6), ("triangular", (4, 5), 3, 6),
+    ("square", (3, 5), 3, 7), ("square", (4, 4), 2, 8)])
+def test_exhaustive_matches_brute_force(kind, extent, hops, cutoff):
+    s, d = endpoints_for_separation(extent, hops)
+    nets = []
+    for seed in (1, 2, 3):
+        for noise in (PERFECT, NOISY):
+            nets.append(generate_network(TopologySpec(kind, extent, 8, 32, 0.95, seed=seed), noise))
+        # Ties on D: equal EGRs, or perfect channels (D is the min EGR).
+        nets.append(generate_network(TopologySpec(kind, extent, 16, 16, 0.99, seed=seed)))
+        nets.append(generate_network(TopologySpec(kind, extent, 8, 32, 1.0, seed=seed)))
+    nets.append(_mixed_fidelity(nets[0], seed=4))
+    nets.append(_mixed_fidelity(nets[1], seed=5))
+    for net in nets:
+        best = best_path_exhaustive(net, s, d, cutoff)
+        assert (best.evaluation.d_total, list(best.path)) == _brute_force_exhaustive(
+            net, s, d, cutoff)
 
 
 def test_exhaustive_tie_prefers_shorter_then_lexicographic():
