@@ -17,13 +17,14 @@ from functools import lru_cache
 
 from .netgraph import Network
 from .purify import MAX_CIRCUIT_K, circuit_for, evaluate_circuit, post_purification_rate
-from .werner import (NoiseParams, PERFECT, check_fidelity, distillable,
+from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, distillable,
                      distillable_per_pair, fidelity_to_w, swap_fidelity)
 
 MAX_CHAIN_HOPS = 10
 MAX_SEGMENT_HOPS = 3
-# The bound multiplies fidelities in another order than the optimizer does,
-# so without this relative slack an exact bound could sit an ulp below a D.
+# The bounds multiply fidelities in another order than the optimizer does
+# and read d(F), which rises with F only up to rounding; so without this
+# relative slack an exact bound could sit an ulp below a D.
 _BOUND_SLACK = 1.0 + 1e-9
 
 
@@ -120,7 +121,7 @@ def enumerate_segmentations(n_hops: int) -> tuple[tuple[int, ...], ...]:
     return tuple(result)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
                    max_k: int) -> tuple[tuple[float, float, float], ...]:
     """Per-k table for one segment: (output fidelity, its W value, rate)."""
@@ -166,18 +167,71 @@ def evaluate_plan(chain: Chain, plan: PurificationPlan) -> PlanEvaluation:
     )
 
 
+def _cover(admitted: dict, states: list[dict], stale: int, swap: float) -> None:
+    """Rebuild the covers ending after hop ``stale`` from the ``admitted`` circuits.
+
+    ``admitted`` maps a slice (start, hops) to its circuit (w, f_out, -k,
+    rate). ``states[end][segs]`` is the best cover of hops [0, end) by segs
+    segments, as (W product, -k per segment, -length per segment, rate),
+    compared on the first three. W is multiplied left to right, as
+    swap_fidelity does; a full cover carries its end-to-end fidelity instead.
+    Covers ending at or before hop ``stale`` are kept as they are.
+    """
+    n = len(states) - 1
+    for end in range(stale + 1, n + 1):
+        layer = {}
+        for hops in range(1, min(MAX_SEGMENT_HOPS, end) + 1):
+            row = admitted.get((end - hops, hops))
+            if row is None:
+                continue
+            w, f_out, neg_k, rate = row
+            for segs, (prod, neg_ks, neg_lens, low) in states[end - hops].items():
+                value = prod * w
+                if end == n:
+                    value = f_out if segs == 0 else 0.25 + 0.75 * swap ** segs * value
+                state = (value, neg_ks + (neg_k,), neg_lens + (-hops,), min(low, rate))
+                held = layer.get(segs + 1)
+                if held is None or state[:3] > held[:3]:
+                    layer[segs + 1] = state
+        states[end] = layer
+
+
+def _score(covers: dict, scored: dict, bar: float, best: tuple | None):
+    """The best of ``best`` and the full ``covers`` not in ``scored`` that reach ``bar``.
+
+    A best is (key, cover), its key (D, fidelity, -segments, -k per segment,
+    -length per segment). Returns it and the bar it raises.
+    """
+    for segs, cover in covers.items():
+        fid, neg_ks, neg_lens, rate = cover
+        if rate < bar or scored.get(segs) == cover:
+            continue
+        d_total = distillable(rate, fid)
+        key = (d_total, fid, -segs, neg_ks, neg_lens)
+        if d_total >= bar and (best is None or key > best[0]):
+            best, bar = (key, cover), d_total
+    return best, bar
+
+
 def optimize_chain(chain: Chain, max_k: int = 8, floor: float | None = None,
                    ) -> tuple[PurificationPlan, PlanEvaluation] | None:
     """Best purification plan for ``chain`` by distillable entanglement.
 
     Exact over every segmentation and every circuit width 1..``max_k``. A
-    plan's D is at most its rate, the slowest segment's. So every segment
-    rate r is tried as the bottleneck, fastest first: each slice of the
-    chain takes its highest-W circuit with rate >= r, and a DP over segment
-    boundaries keeps, per segment count, the highest-W plan. The sweep stops
-    once r falls below the best D found (or ``floor``). Ties break toward
-    higher fidelity, then fewer segments, then smaller k-vectors, then
-    shorter leading segments.
+    ceiling pass comes first: each slice of the chain takes its highest-W
+    circuit, and a DP over segment boundaries keeps, per segment count, the
+    highest-W cover. Its best fidelity F_c is the highest any plan reaches.
+    When d(F_c) is 0, every plan has D = 0, plans rank by fidelity and the
+    tie-breaks alone, and the ceiling's best cover is the answer. (At F_c =
+    1/4 a hop holds no entanglement and every plan ties at 1/4, whatever its
+    other circuits; the sweep below breaks those ties as it always has.)
+
+    Otherwise a plan's D is at most its rate, the slowest segment's, times
+    d(F_c). So every segment rate r is tried as the bottleneck, fastest
+    first: each slice takes its highest-W circuit with rate >= r and the DP
+    runs again. The sweep stops once r * d(F_c) falls below the best D found
+    (or ``floor``). Ties break toward higher fidelity, then fewer segments,
+    then smaller k-vectors, then shorter leading segments.
 
     With ``floor`` set, plans below it are ignored and None is returned when
     none reaches it; a plan at exactly ``floor`` is still returned, so that
@@ -188,71 +242,58 @@ def optimize_chain(chain: Chain, max_k: int = 8, floor: float | None = None,
         raise ValueError(
             f"chain has {n} hops; optimizer handles at most {MAX_CHAIN_HOPS}")
     noise = chain.noise
-    # Every circuit on every (start, hops) slice, fastest first.
+    swap = noise.swap_factor
+    bar = -math.inf if floor is None else floor
+    # Every circuit (w, f_out, -k, rate) on every (start, hops) slice, and
+    # each slice's highest-W circuit.
     rows = []
+    ceiling = {}
     for start in range(n):
         for hops in range(1, min(MAX_SEGMENT_HOPS, n - start) + 1):
             table = _segment_table(
                 swap_fidelity(chain.fidelities[start:start + hops], noise),
                 min(chain.egrs[start:start + hops]), noise.p2, noise.eta, max_k)
-            rows.extend((rate, start, hops, (w, f_out, -k))
-                        for k, (f_out, w, rate) in enumerate(table, 1))
-    rows.sort(key=lambda row: row[0], reverse=True)
-    # No plan is faster than the slowest hop's raw rate.
-    top = min(chain.egrs)
-    swap = noise.swap_factor
-    bar = -math.inf if floor is None else floor
-    admitted: dict[tuple[int, int], tuple] = {}  # slice -> (w, f_out, -k, rate)
-    # states[end][segs]: the best cover of hops [0, end) by segs segments, as
-    # (W product, -k per segment, -length per segment, rate), compared on the
-    # first three. W is multiplied left to right, as swap_fidelity does; a
-    # full cover carries its end-to-end fidelity instead. Covers ending at or
-    # before the first slice admitted since the last pass stay as they are.
+            circuits = [(w, f_out, -k, rate) for k, (f_out, w, rate) in enumerate(table, 1)]
+            rows.extend((circuit[3], start, hops, circuit) for circuit in circuits)
+            ceiling[start, hops] = max(circuits)
     states: list[dict[int, tuple]] = [{0: (1.0, (), (), math.inf)}] + [{} for _ in range(n)]
-    stale = 0
-    best_key = best = None
-    i = 0
-    while i < len(rows) and rows[i][0] >= bar:
-        threshold = rows[i][0]
-        while i < len(rows) and rows[i][0] == threshold:
-            rate, start, hops, choice = rows[i]
-            i += 1
-            held = admitted.get((start, hops))
-            if held is None or choice > held[:3]:
-                admitted[start, hops] = choice + (rate,)
-                stale = min(stale, start)
-        if threshold > top or stale == n:
-            continue
-        scored = states[n]  # full covers scored on the last pass
-        for end in range(stale + 1, n + 1):
-            layer = {}
-            for hops in range(1, min(MAX_SEGMENT_HOPS, end) + 1):
-                row = admitted.get((end - hops, hops))
-                if row is None:
-                    continue
-                w, f_out, neg_k, rate = row
-                for segs, (prod, neg_ks, neg_lens, low) in states[end - hops].items():
-                    value = prod * w
-                    if end == n:
-                        value = f_out if segs == 0 else 0.25 + 0.75 * swap ** segs * value
-                    state = (value, neg_ks + (neg_k,), neg_lens + (-hops,), min(low, rate))
-                    held = layer.get(segs + 1)
-                    if held is None or state[:3] > held[:3]:
-                        layer[segs + 1] = state
-            states[end] = layer
-        stale = n
-        for segs, state in states[n].items():
-            fid, neg_ks, neg_lens, rate = state
-            if rate < bar or scored.get(segs) == state:
+    _cover(ceiling, states, 0, swap)
+    f_ceiling = max(fid for fid, *_ in states[n].values())
+    d_ceiling = distillable_per_pair(f_ceiling)
+    if d_ceiling == 0.0 and f_ceiling > F_MIN:
+        best, _ = _score(states[n], {}, bar, None)
+    else:
+        best = None
+        rows.sort(key=lambda row: row[0], reverse=True)
+        # No plan is faster than the slowest hop's raw rate.
+        top = min(chain.egrs)
+        admitted: dict[tuple[int, int], tuple] = {}
+        states = [{0: (1.0, (), (), math.inf)}] + [{} for _ in range(n)]
+        stale = 0  # covers ending after this hop are rebuilt on the next pass
+        # A cover first found with bottleneck r has D <= r * d(F_c).
+        reach = d_ceiling * _BOUND_SLACK
+        i = 0
+        while i < len(rows) and rows[i][0] * reach >= bar:
+            threshold = rows[i][0]
+            while i < len(rows) and rows[i][0] == threshold:
+                _, start, hops, circuit = rows[i]
+                i += 1
+                held = admitted.get((start, hops))
+                if held is None or circuit > held:
+                    admitted[start, hops] = circuit
+                    stale = min(stale, start)
+            if threshold > top or stale == n:
                 continue
-            d_total = distillable(rate, fid)
-            key = (d_total, fid, -segs, neg_ks, neg_lens)
-            if d_total >= bar and (best_key is None or key > best_key):
-                best_key, bar = key, d_total
-                segments = tuple((-h, -k) for h, k in zip(neg_lens, neg_ks))
-                best = (PurificationPlan(segments=segments),
-                        PlanEvaluation(final_fidelity=fid, rate=rate, d_total=d_total))
-    return best
+            scored = states[n]  # full covers scored on the last pass
+            _cover(admitted, states, stale, swap)
+            stale = n
+            best, bar = _score(states[n], scored, bar, best)
+    if best is None:
+        return None
+    (d_total, fid, *_), (_, neg_ks, neg_lens, rate) = best
+    segments = tuple((-h, -k) for h, k in zip(neg_lens, neg_ks))
+    return (PurificationPlan(segments=segments),
+            PlanEvaluation(final_fidelity=fid, rate=rate, d_total=d_total))
 
 
 def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int,

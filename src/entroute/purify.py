@@ -100,20 +100,33 @@ def purify_pair(f1: float, f2: float, noise: NoiseParams = PERFECT) -> CircuitOu
     return CircuitOutcome(f_out=f_num / p_succ, p_succ=p_succ)
 
 
-def _evaluate_tree(tree, f_in: float, noise: NoiseParams) -> tuple[float, float]:
+def _evaluate_tree(tree, f_in: float, noise: NoiseParams, memo: dict) -> tuple[float, float]:
+    """(f_out, p_succ) of ``tree``; ``memo`` holds the subtrees already folded
+    at this ``f_in`` and ``noise``, so a subtree shared by several trees costs
+    its purify steps once."""
     if tree is LEAF:
         return f_in, 1.0
-    kept, consumed = tree
-    f_kept, p_kept = _evaluate_tree(kept, f_in, noise)
-    f_cons, p_cons = _evaluate_tree(consumed, f_in, noise)
-    step = purify_pair(f_kept, f_cons, noise)
-    return step.f_out, p_kept * p_cons * step.p_succ
+    if tree not in memo:
+        kept, consumed = tree
+        f_kept, p_kept = _evaluate_tree(kept, f_in, noise, memo)
+        f_cons, p_cons = _evaluate_tree(consumed, f_in, noise, memo)
+        step = purify_pair(f_kept, f_cons, noise)
+        memo[tree] = step.f_out, p_kept * p_cons * step.p_succ
+    return memo[tree]
 
 
-@lru_cache(maxsize=None)
-def _evaluate_cached(k: int, f_in: float, p2: float, eta: float) -> CircuitOutcome:
-    f_out, p_succ = _evaluate_tree(circuit_for(k).tree, f_in, NoiseParams(p2, eta))
-    return CircuitOutcome(f_out=f_out, p_succ=p_succ)
+@lru_cache(maxsize=4096)
+def _evaluate_cached(f_in: float, p2: float, eta: float) -> tuple[CircuitOutcome, ...]:
+    """Every standard circuit, k = 1..MAX_CIRCUIT_K, at input ``f_in``; entry k - 1 is k.
+
+    One walk with one memo: the eight trees share their subtrees, so it takes
+    7 purify steps instead of 28. Each subtree is folded in the same operand
+    order as on its own, so every float is the same as a walk of one tree.
+    """
+    noise = NoiseParams(p2, eta)
+    memo: dict = {}
+    return tuple(CircuitOutcome(*_evaluate_tree(circuit_for(k).tree, f_in, noise, memo))
+                 for k in range(1, MAX_CIRCUIT_K + 1))
 
 
 def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
@@ -121,14 +134,15 @@ def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
     """Fold the purify step over the circuit tree with all leaves at ``f_in``.
 
     The success probability is the product of every step's success
-    probability; k = 1 returns (f_in, 1).
+    probability; k = 1 returns (f_in, 1). A standard circuit (``circuit_for``)
+    is read from the cached walk of all eight at this ``f_in`` and noise.
     """
     check_fidelity(f_in)
     if circuit.tree is LEAF:
         return CircuitOutcome(f_out=f_in, p_succ=1.0)
     if circuit == circuit_for(circuit.k):
-        return _evaluate_cached(circuit.k, f_in, noise.p2, noise.eta)
-    f_out, p_succ = _evaluate_tree(circuit.tree, f_in, noise)
+        return _evaluate_cached(f_in, noise.p2, noise.eta)[circuit.k - 1]
+    f_out, p_succ = _evaluate_tree(circuit.tree, f_in, noise, {})
     return CircuitOutcome(f_out=f_out, p_succ=p_succ)
 
 

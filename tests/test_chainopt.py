@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from entroute import chainopt, purify
 from entroute.chainopt import (MAX_CHAIN_HOPS, Chain, PurificationPlan, d_bound_by_hops,
                                enumerate_segmentations, evaluate_plan,
                                no_purification_plan, optimize_chain)
@@ -165,6 +166,20 @@ def test_optimize_matches_small_instance_brute_force(max_k):
         assert evaluate_plan(chain, plan) == evaluation
 
 
+def _brute_force_best(chain, max_k):
+    """The plan and evaluation with the highest full tie-break key over every plan."""
+    best = None
+    for seg_lens in enumerate_segmentations(chain.n_hops):
+        for ks in itertools.product(range(1, max_k + 1), repeat=len(seg_lens)):
+            plan = PurificationPlan(tuple(zip(seg_lens, ks)))
+            evaluation = evaluate_plan(chain, plan)
+            key = (evaluation.d_total, evaluation.final_fidelity, -len(ks),
+                   tuple(-k for k in ks), tuple(-h for h in seg_lens))
+            if best is None or key > best[0]:
+                best = (key, plan, evaluation)
+    return best[1:]
+
+
 def test_optimize_tie_breaks_match_brute_force():
     # Perfect links, unit EGRs and repeated values make many plans tie on D.
     rng = random.Random(5)
@@ -176,16 +191,32 @@ def test_optimize_tie_breaks_match_brute_force():
             tuple(rng.choice((1.0, 0.99, 0.9, rng.uniform(0.7, 1.0))) for _ in range(n)),
             PERFECT if trial % 2 else NOISY,
         )
-        best = None
-        for seg_lens in enumerate_segmentations(n):
-            for ks in itertools.product(range(1, max_k + 1), repeat=len(seg_lens)):
-                plan = PurificationPlan(tuple(zip(seg_lens, ks)))
-                evaluation = evaluate_plan(chain, plan)
-                key = (evaluation.d_total, evaluation.final_fidelity, -len(ks),
-                       tuple(-k for k in ks), tuple(-h for h in seg_lens))
-                if best is None or key > best[0]:
-                    best = (key, plan, evaluation)
-        assert optimize_chain(chain, max_k=max_k) == best[1:]
+        assert optimize_chain(chain, max_k=max_k) == _brute_force_best(chain, max_k)
+    # Every plan has D = 0 on these, so fidelity and the tie-breaks alone rank them.
+    for _ in range(30):
+        n = rng.randint(3, 4)
+        max_k = rng.choice((2, 3, 4))
+        chain = Chain(
+            tuple(rng.choice((1, 2, 8, rng.randint(1, 40))) for _ in range(n)),
+            tuple(rng.choice((0.7, 0.75)) for _ in range(n)),
+            rng.choice((NOISY, NoiseParams(0.97, 0.995))),
+        )
+        best = _brute_force_best(chain, max_k)
+        assert best[1].d_total == 0.0
+        assert optimize_chain(chain, max_k=max_k) == best
+    # A hop at F = 1/4 holds no entanglement: every plan ties at fidelity 1/4.
+    for chain in (Chain((8, 8, 8, 8), (0.9, 0.25, 0.9, 0.9)),
+                  Chain((16, 8, 32, 20), (0.95, 0.25, 0.92, 0.97), NOISY),
+                  Chain((20,) * 5, (0.99, 0.99, 0.25, 0.99, 0.99))):
+        assert optimize_chain(chain, max_k=4) == _brute_force_best(chain, 4)
+    # Six hops at max_k = 4: 12,240 plans per chain. The last distils nothing.
+    for chain in (Chain((16, 8, 32, 20, 12, 40), (0.95, 0.9, 0.92, 0.97, 0.93, 0.96)),
+                  Chain((16,) * 6, (0.95,) * 6),
+                  Chain((16, 8, 32, 20, 12, 40), (0.99, 0.98, 0.99, 0.97, 0.99, 0.98), NOISY),
+                  Chain((24, 24, 48, 12, 36, 20), (0.7, 0.75, 0.7, 0.75, 0.75, 0.7), NOISY)):
+        best = _brute_force_best(chain, 4)
+        assert optimize_chain(chain, max_k=4) == best
+    assert best[1].d_total == 0.0
 
 
 def test_optimize_finds_pinned_optimum():
@@ -219,6 +250,12 @@ def test_optimize_floor_contract():
     assert optimize_chain(chain, floor=d_best) == best
     assert optimize_chain(chain, floor=0.5 * d_best) == best
     assert optimize_chain(chain, floor=math.nextafter(d_best, math.inf)) is None
+    # No plan distils anything: a zero floor still returns the best, any positive one nothing.
+    worthless = Chain((16, 8, 32), (0.7, 0.75, 0.7), NOISY)
+    best = optimize_chain(worthless)
+    assert best[1].d_total == 0.0
+    assert optimize_chain(worthless, floor=0.0) == best
+    assert optimize_chain(worthless, floor=math.nextafter(0.0, 1.0)) is None
 
 
 UNIFORM_CHAINS = st.tuples(st.integers(1, 10), st.floats(0.8, 0.999)).flatmap(
@@ -301,6 +338,17 @@ def test_optimize_never_below_the_relaxation():
         assert exact >= relaxed
         above += exact > relaxed
     print(f"exact optimizer above the relaxation on {above} of {trials} chains")
+
+
+def test_fidelity_keyed_caches_are_bounded():
+    caches = (chainopt._segment_table, purify._evaluate_cached)
+    maxsize = max(cache.cache_info().maxsize for cache in caches)
+    for i in range(maxsize + 100):
+        chainopt._segment_table(0.9 + i * 1e-6, 16, 1.0, 1.0, 8)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses >= info.maxsize + 100
+        assert info.currsize <= info.maxsize
 
 
 def test_optimize_rejects_long_chains():

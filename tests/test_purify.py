@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from entroute import purify
 from entroute.purify import (LEAF, CircuitOutcome, PurificationCircuit,
                              circuit_for, evaluate_circuit,
                              oracle_simulate_step, post_purification_rate,
@@ -159,3 +162,25 @@ def test_yield_sanity():
             assert rate <= egr / k + 1e-12
             assert rate <= egr
     assert post_purification_rate(20, circuit_for(1), CircuitOutcome(0.8, 1.0)) <= 20
+
+
+def _fold(tree, f, noise):
+    if tree is LEAF:
+        return f, 1.0
+    f_kept, p_kept = _fold(tree[0], f, noise)
+    f_cons, p_cons = _fold(tree[1], f, noise)
+    step = purify_pair(f_kept, f_cons, noise)
+    return step.f_out, p_kept * p_cons * step.p_succ
+
+
+def test_standard_circuits_are_the_step_fold_from_one_walk():
+    rng = random.Random(9)
+    for _ in range(50):
+        f = rng.uniform(0.5, 1.0)
+        noise = NoiseParams(rng.uniform(0.9, 1.0), rng.uniform(0.9, 1.0))
+        misses = purify._evaluate_cached.cache_info().misses
+        for k in range(1, 9):
+            out = evaluate_circuit(circuit_for(k), f, noise)
+            assert (out.f_out, out.p_succ) == _fold(circuit_for(k).tree, f, noise)
+        # All eight widths at one (f, noise) come from one cached walk.
+        assert purify._evaluate_cached.cache_info().misses == misses + 1
