@@ -233,6 +233,13 @@ def optimize_chain(chain: Chain, max_k: int = 8, floor: float | None = None,
     (or ``floor``). Ties break toward higher fidelity, then fewer segments,
     then smaller k-vectors, then shorter leading segments.
 
+    One exception: on a chain with a hop at a fixed point of the purify step
+    (F = 1/4, or F = 1/2 with perfect gates), D and the delivered fidelity are
+    exact, but the plan among D = 0 ties may differ from the argmax of the
+    full tie-break key. There, plans tie on fidelity to the last bit, and the
+    per-slice highest-W choice can take a larger k whose W is higher only by
+    an ulp.
+
     With ``floor`` set, plans below it are ignored and None is returned when
     none reaches it; a plan at exactly ``floor`` is still returned, so that
     an outer search can break ties.

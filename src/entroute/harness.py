@@ -27,6 +27,8 @@ from .routing import LinkCost, NoPathError, best_path_exhaustive, multipath_gree
 from .werner import NoiseParams
 
 EXPERIMENT_KINDS = ("chain-sweep", "route-compare", "multipath-compare")
+# A {start, count} seed range is built as a tuple; far above any real sweep.
+MAX_SEED_COUNT = 10**6
 
 
 class ConfigError(ValueError):
@@ -155,7 +157,8 @@ class ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, UnicodeDecodeError, or nesting too deep to parse.
             raise ConfigError(f"config: {path} is not valid JSON ({exc})") from exc
         return cls.from_dict(raw)
 
@@ -170,8 +173,9 @@ def _is_int(value) -> bool:
 def _parse_seeds(raw) -> tuple[int, ...]:
     """A seed list or ``{start, count}`` as a tuple; the config checks the values."""
     if isinstance(raw, dict) and all(map(_is_int, (raw.get("start"), raw.get("count")))):
-        if raw["count"] < 1:
-            raise ConfigError(f"seeds: count must be >= 1, got {raw['count']}")
+        if not 1 <= raw["count"] <= MAX_SEED_COUNT:
+            raise ConfigError(
+                f"seeds: count must be 1..{MAX_SEED_COUNT}, got {raw['count']}")
         return tuple(range(raw["start"], raw["start"] + raw["count"]))
     if isinstance(raw, (list, tuple)):
         return tuple(raw)

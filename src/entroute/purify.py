@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import dmsim
 from .werner import PERFECT, NoiseParams, check_fidelity
 
 MAX_CIRCUIT_K = 8
@@ -166,8 +165,12 @@ def oracle_simulate_step(f1: float, f2: float,
     """Density-matrix ground truth for :func:`purify_pair`.
 
     Builds the 16x16 joint state of the two Werner pairs explicitly and
-    simulates the noisy step exactly; see :mod:`entroute.dmsim`.
+    simulates the noisy step exactly; see :mod:`entroute.dmsim`. That module
+    needs numpy and is imported on the first call, so importing this package
+    never loads numpy.
     """
+    from . import dmsim
+
     check_fidelity(f1)
     check_fidelity(f2)
     f_out, p_succ = dmsim.simulate_purify_step(f1, f2, noise.p2, noise.eta)

@@ -219,6 +219,26 @@ def test_optimize_tie_breaks_match_brute_force():
     assert best[1].d_total == 0.0
 
 
+def test_optimize_is_exact_in_d_and_fidelity_at_purify_fixed_points():
+    # F = 1/4 and, with perfect gates, F = 1/2 are fixed points of the purify
+    # step; there the plan among D = 0 ties may differ from the brute force's.
+    rng = random.Random(29)
+    for trial in range(300):
+        n = rng.randint(2, 4)
+        max_k = rng.randint(2, 4)
+        chain = Chain(
+            tuple(rng.choice((1, 2, 8, rng.randint(1, 40))) for _ in range(n)),
+            tuple(rng.choice((0.25, 0.5, 0.7, 0.75, 0.9, rng.uniform(0.7, 1.0)))
+                  for _ in range(n)),
+            PERFECT if trial % 2 else NOISY,
+        )
+        plan, evaluation = optimize_chain(chain, max_k=max_k)
+        best = _brute_force_best(chain, max_k)[1]
+        assert evaluation.d_total == best.d_total
+        assert evaluation.final_fidelity == best.final_fidelity
+        assert evaluate_plan(chain, plan) == evaluation
+
+
 def test_optimize_finds_pinned_optimum():
     # Lowering k one step at a time from 8 stops at 1:4+1:2+1:5 (D = 0.7496).
     plan, evaluation = optimize_chain(Chain((16, 8, 32), (0.95, 0.9, 0.92)))
@@ -290,28 +310,39 @@ def test_d_bound_by_hops_is_tight_on_equal_egrs():
             assert d_total <= bound[n] <= d_total * (1 + 1e-8)
 
 
-def _segment_rate(chain, start, hops, k):
-    f_seg = swap_fidelity(chain.fidelities[start:start + hops], chain.noise)
+def _segment(chain, start, hops, k):
+    """(f_out, rate) of one plan segment, as ``evaluate_plan`` computes them."""
+    f_raw = swap_fidelity(chain.fidelities[start:start + hops], chain.noise)
     circuit = circuit_for(k)
-    outcome = evaluate_circuit(circuit, f_seg, chain.noise)
-    return post_purification_rate(min(chain.egrs[start:start + hops]), circuit, outcome)
+    outcome = evaluate_circuit(circuit, f_raw, chain.noise)
+    rate = post_purification_rate(min(chain.egrs[start:start + hops]), circuit, outcome)
+    return outcome.f_out, rate
 
 
 def _relaxation_d(chain, max_k=8):
     """The paper's search: per segmentation, start every segment at k = max_k
     and lower k by one on the rate-bottleneck segments (when those are all at
-    k = 1, on the slowest segment still purifying), scoring every state."""
+    k = 1, on the slowest segment still purifying), scoring every state.
+
+    Each (start, hops, k) segment is computed once, and a state's D combines
+    the segments as ``evaluate_plan`` does."""
+    segments = {}
+
+    def segment(*seg):
+        if seg not in segments:
+            segments[seg] = _segment(chain, *seg)
+        return segments[seg]
+
     best = 0.0
     for seg_lens in enumerate_segmentations(chain.n_hops):
         starts = [sum(seg_lens[:i]) for i in range(len(seg_lens))]
         ks = [max_k] * len(seg_lens)
         while True:
-            plan = PurificationPlan(tuple(zip(seg_lens, ks)))
-            best = max(best, evaluate_plan(chain, plan).d_total)
+            fids, rates = zip(*(segment(*seg) for seg in zip(starts, seg_lens, ks)))
+            best = max(best, distillable(min(rates), swap_fidelity(fids, chain.noise)))
             above = [i for i, k in enumerate(ks) if k > 1]
             if not above:
                 break
-            rates = [_segment_rate(chain, *seg) for seg in zip(starts, seg_lens, ks)]
             relax = [i for i in above if rates[i] == min(rates)]
             if not relax:
                 lowest = min(rates[i] for i in above)
@@ -365,7 +396,7 @@ def test_bottleneck_law():
             rates = []
             start = 0
             for hops, k in plan.segments:
-                rates.append(_segment_rate(chain, start, hops, k))
+                rates.append(_segment(chain, start, hops, k)[1])
                 start += hops
             assert evaluation.rate == min(rates)
             assert evaluation.d_total <= distillable(min(rates), 1.0) + 1e-12

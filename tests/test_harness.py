@@ -1,13 +1,20 @@
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from entroute import cli
 from entroute.chainopt import chain_from_path, evaluate_plan, no_purification_plan
 from entroute.cli import main
-from entroute.harness import (ConfigError, ExperimentConfig, RESULT_FIELDS,
-                              build_metadata, run_experiment, write_results)
+from entroute.harness import (EXPERIMENT_KINDS, MAX_SEED_COUNT, ConfigError,
+                              ExperimentConfig, RESULT_FIELDS, build_metadata,
+                              run_experiment, write_results)
 from entroute.netgraph import TopologySpec, generate_network, endpoints_for_separation
 from entroute.routing import LinkCost, shortest_weighted_path
 from entroute.werner import NoiseParams
@@ -200,6 +207,42 @@ def test_config_from_dict_diagnostics():
         ExperimentConfig.from_dict({"id": "x", "kind": "chain-sweep", "seeds": [1.7, 2.2]})
     with pytest.raises(ConfigError, match="egr_range"):
         ExperimentConfig.from_dict({"id": "x", "kind": "route-compare", "egr_range": ["a", 32]})
+    # Rejected before the range is built.
+    with pytest.raises(ConfigError, match="seeds"):
+        ExperimentConfig.from_dict({"id": "x", "kind": "chain-sweep",
+                                    "seeds": {"start": 0, "count": MAX_SEED_COUNT + 1}})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=8)
+# Values near the valid ones, so that the fuzz also reaches the field checks.
+NEAR_VALID = (st.sampled_from(EXPERIMENT_KINDS + ("triangular", "hexagonal", "hop",
+                                                  "inv_egr_sq", "channel", "repeater"))
+              | st.integers(-2, 40) | st.floats(0.2, 1.1)
+              | st.lists(st.integers(-2, 40) | st.floats(0.2, 1.1)
+                         | st.sampled_from(("square", "inv_egr")), max_size=4)
+              | st.fixed_dictionaries({"start": st.integers(-5, 5),
+                                       "count": st.integers(-2, 5)}))
+FIELD_VALUES = {f.name: JSON_VALUES | NEAR_VALID for f in dataclasses.fields(ExperimentConfig)}
+RAW_CONFIGS = (
+    st.fixed_dictionaries({}, optional={**FIELD_VALUES, "bogus": JSON_VALUES})
+    | st.fixed_dictionaries({"id": st.text(max_size=4), "kind": st.sampled_from(EXPERIMENT_KINDS)},
+                            optional={name: values for name, values in FIELD_VALUES.items()
+                                      if name not in ("id", "kind")}))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw=RAW_CONFIGS)
+def test_config_from_dict_fuzz_returns_a_config_or_raises_config_error(raw):
+    try:
+        config = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)
 
 
 def test_cli_round_trip(tmp_path):
@@ -238,6 +281,44 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["chain", "--config", str(config_path), "--out", str(tmp_path / "o.csv")]) == 3
     assert capsys.readouterr().err == "entroute: runtime error: ValueError: chain has 11 hops\n"
+
+
+@pytest.mark.parametrize("content", [
+    b"[]", b"[1, 2]", b"3.5", b'"chain"', b"null",
+    b'{"id": "caf\xe9", "kind": "chain-sweep"}',
+    b"[" * 100_000,
+], ids=["empty-list", "list", "number", "string", "null", "not-utf8", "nested-too-deep"])
+def test_cli_rejects_non_object_configs_in_one_line(tmp_path, capsys, content):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_bytes(content)
+    capsys.readouterr()
+    assert main(["chain", "--config", str(config_path), "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("entroute: config error: ") and err.count("\n") == 1
+
+
+_RUN_PATH_PROBE = """
+import sys
+import entroute, entroute.cli
+assert entroute.cli.main(["chain", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert "numpy" not in sys.modules, "the run path loaded numpy"
+from entroute.purify import oracle_simulate_step
+outcome = oracle_simulate_step(0.9, 0.9)
+assert 0.9 < outcome.f_out < 1.0 and 0.0 < outcome.p_succ < 1.0
+assert "numpy" in sys.modules
+"""
+
+
+def test_cli_run_path_leaves_numpy_unloaded(tmp_path):
+    # A fresh interpreter: this test process has numpy loaded already.
+    repo = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_PATH_PROBE, str(repo / "configs" / "chain_sweep.json"),
+         str(tmp_path / "chain.csv")],
+        env={**os.environ, "PYTHONPATH": str(repo / "src")}, capture_output=True, text=True,
+        timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "chain.csv").read_text().startswith("# artifact=entroute/")
 
 
 def test_cli_seed_override(tmp_path):
