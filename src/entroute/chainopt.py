@@ -322,12 +322,16 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     """
     swap = noise.swap_factor
     # (rate, holds the minimum hop, hops, W * swap) for every segment circuit.
+    # Only the rate depends on EGR, so the min-EGR rows take W from the
+    # max-EGR table and p_succ from the cached circuit outcome.
     rows = []
     for hops in range(1, MAX_SEGMENT_HOPS + 1):
         f_seg = swap_fidelity([f_raw] * hops, noise)
-        for pinned, egr in ((True, min_egr), (False, max_egr)):
-            table = _segment_table(f_seg, egr, noise.p2, noise.eta, MAX_CIRCUIT_K)
-            rows.extend((rate, pinned, hops, w * swap) for _, w, rate in table)
+        table = _segment_table(f_seg, max_egr, noise.p2, noise.eta, MAX_CIRCUIT_K)
+        for k, (_, w, rate) in enumerate(table, 1):
+            circuit = circuit_for(k)
+            low = post_purification_rate(min_egr, circuit, evaluate_circuit(circuit, f_seg, noise))
+            rows += [(low, True, hops, w * swap), (rate, False, hops, w * swap)]
     rows.sort(key=lambda row: row[0], reverse=True)
     bar = -math.inf if floor is None else floor / _BOUND_SLACK
     bound = [0.0] * (max_hops + 1)

@@ -18,12 +18,13 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 
 from . import __version__
-from .chainopt import MAX_CHAIN_HOPS, Chain, chain_from_path, optimize_chain
+from .chainopt import MAX_CHAIN_HOPS, Chain, optimize_chain
 from .netgraph import (GENERATOR_NAME, LATTICE_KINDS, TopologySpec,
                        default_extent, endpoints_for_separation,
                        generate_network, scaled_egr_range)
-from .routing import LinkCost, NoPathError, best_path_exhaustive, multipath_greedy, \
-    shortest_weighted_path
+from .routing import (LinkCost, NoPathError, best_path_exhaustive, multipath_greedy,
+                      weighted_routes)
+from .routing import shortest_weighted_path  # noqa: F401  (rebound by bench/layers.py)
 from .werner import NoiseParams
 
 EXPERIMENT_KINDS = ("chain-sweep", "route-compare", "multipath-compare")
@@ -61,6 +62,11 @@ class ExperimentConfig:
     multipath_cost: str = "inv_egr"
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ConfigError(f"id: must be a string, got {self.id!r}")
+        if not isinstance(self.include_exhaustive, bool):
+            raise ConfigError(
+                f"include_exhaustive: must be true or false, got {self.include_exhaustive!r}")
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"kind: must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         if not self.seeds:
@@ -247,6 +253,10 @@ def _instance(config: ExperimentConfig, topology: str, channel: float, gate: flo
 
 def _run_route_compare(config: ExperimentConfig) -> list[ResultRow]:
     rows = []
+    # The exhaustive search starts from every cost's path, whichever rows
+    # the config asks for.
+    costs = (tuple(LinkCost) if config.include_exhaustive
+             else tuple(map(LinkCost, config.cost_variants)))
     for seed in config.seeds:
         for gate in config.gate_fidelities:
             for channel in config.channel_fidelities:
@@ -255,9 +265,13 @@ def _run_route_compare(config: ExperimentConfig) -> list[ResultRow]:
                                           config.egr_range)
                     cell = (config, seed, topology, gate, channel)
                     mean_egr = net.mean_channel_egr()
+                    try:
+                        routes = weighted_routes(net, s, d, costs)
+                    except NoPathError:
+                        routes = {}
                     if config.include_exhaustive:
                         try:
-                            routed = best_path_exhaustive(net, s, d, config.cutoff)
+                            routed = best_path_exhaustive(net, s, d, config.cutoff, routes)
                         except NoPathError:
                             rows.append(_row(*cell, "exhaustive"))
                         else:
@@ -265,17 +279,15 @@ def _run_route_compare(config: ExperimentConfig) -> list[ResultRow]:
                                              (routed.plan, routed.evaluation),
                                              scale=mean_egr))
                     for variant in config.cost_variants:
-                        try:
-                            path = shortest_weighted_path(net, s, d, LinkCost(variant))
-                        except NoPathError:
+                        if not routes:
                             rows.append(_row(*cell, variant))
                             continue
-                        hops = len(path) - 1
-                        # A route beyond the decoherence budget exists but
-                        # no repeater chain that long works: an unusable row.
-                        result = (optimize_chain(chain_from_path(net, path))
-                                  if hops <= MAX_CHAIN_HOPS else None)
-                        rows.append(_row(*cell, variant, hops, result, scale=mean_egr))
+                        # A route beyond the decoherence budget exists but no
+                        # repeater chain that long works: its result is None,
+                        # an unusable row.
+                        path, result = routes[LinkCost(variant)]
+                        rows.append(_row(*cell, variant, len(path) - 1, result,
+                                         scale=mean_egr))
     return rows
 
 

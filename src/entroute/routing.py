@@ -67,50 +67,49 @@ def _edge_key(u, v):
     return (u, v) if u < v else (v, u)
 
 
-def _bfs_hops(net: Network, target, excluded: frozenset) -> dict:
+def _bfs_hops(net: Network, target) -> dict:
     """Hop distance from every reachable node to ``target``."""
     dist = {target: 0}
     queue = deque([target])
     while queue:
         u = queue.popleft()
         for v in net.neighbors(u):
-            if v in dist or _edge_key(u, v) in excluded:
+            if v in dist:
                 continue
             dist[v] = dist[u] + 1
             queue.append(v)
     return dist
 
 
-def _iter_simple_paths(net: Network, s, d, cutoff: int,
-                       excluded: frozenset = frozenset(), prune=None):
+def _iter_simple_paths(net: Network, s, d, cutoff: int, prune=None):
     """Yield all simple s-d paths of at most ``cutoff`` hops, in lexicographic
     order of the node sequence.
 
     ``prune(hops_used, hops_to_go, min_egr)`` may cut subtrees that provably
     cannot contain a useful path; distance-based pruning is always applied.
     """
-    dist = _bfs_hops(net, d, excluded)
+    dist = _bfs_hops(net, d)
     if dist.get(s, cutoff + 1) > cutoff:
         return
+    # Per node, each step as (neighbor, its hops to d, channel EGR).
+    steps = {u: [(v, dist[v], net.channel(u, v).egr) for v in net.neighbors(u)] for u in dist}
     path = [s]
     visited = {s}
 
     def walk(u, hops_used, min_egr):
-        for v in net.neighbors(u):
-            if v in visited or _edge_key(u, v) in excluded:
+        hops_used += 1
+        for v, to_go, egr in steps[u]:
+            if v in visited or hops_used + to_go > cutoff:
                 continue
-            to_go = dist.get(v)
-            if to_go is None or hops_used + 1 + to_go > cutoff:
-                continue
-            new_min = min(min_egr, net.channel(u, v).egr)
-            if prune is not None and prune(hops_used + 1, to_go, new_min):
+            new_min = egr if egr < min_egr else min_egr
+            if prune is not None and prune(hops_used, to_go, new_min):
                 continue
             path.append(v)
             visited.add(v)
             if v == d:
                 yield list(path)
             else:
-                yield from walk(v, hops_used + 1, new_min)
+                yield from walk(v, hops_used, new_min)
             path.pop()
             visited.remove(v)
 
@@ -153,7 +152,27 @@ def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP,
     raise NoPathError(f"no path from {s!r} to {d!r}")
 
 
-def best_path_exhaustive(net: Network, s, d, cutoff: int = 10) -> RoutedPath:
+def weighted_routes(net: Network, s, d, costs=tuple(LinkCost)) -> dict:
+    """The weighted shortest path under each of ``costs``, with its best plan.
+
+    Maps each cost to (path, ``optimize_chain``'s unfloored result). Each
+    distinct path is optimized once, however many costs select it. A path of
+    more hops than the chain optimizer allows exists but has no plan: its
+    result is None. Raises NoPathError when the destination is unreachable.
+    """
+    plans: dict[tuple[int, ...], tuple | None] = {}
+    routes = {}
+    for cost in costs:
+        path = tuple(shortest_weighted_path(net, s, d, cost))
+        if path not in plans:
+            plans[path] = (optimize_chain(chain_from_path(net, path))
+                           if len(path) - 1 <= MAX_CHAIN_HOPS else None)
+        routes[cost] = path, plans[path]
+    return routes
+
+
+def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
+                         seeds: dict | None = None) -> RoutedPath:
     """Optimize every simple path within the cutoff and return the best.
 
     The maximum is exact: a DFS prefix, and with it every path through it,
@@ -162,16 +181,28 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10) -> RoutedPath:
     the prefix's minimum hop EGR, since D <= rate <= min EGR. When every
     channel has the same raw fidelity, the second is
     ``chainopt.d_bound_by_hops`` for that minimum EGR and the network's
-    maximum EGR, which bounds rate and fidelity together; it is computed
-    once per minimum EGR and call, and a prefix is cut when no reachable
-    path length beats the best D. A network of mixed raw fidelities uses the
-    first bound only. The weighted shortest paths are scored first so the
-    bounds start tight. Ties break toward shorter paths, then lexicographic
-    node order.
+    maximum EGR, which bounds rate and fidelity together, and a prefix is cut
+    when no reachable path length beats the best D. That bound never falls
+    as the minimum EGR rises, and the best D never falls; so a minimum EGR
+    whose bound is not yet held first reads the bound held for the nearest
+    larger one, and a prefix that bound already cuts costs no new bound.
+    A network of mixed raw fidelities uses the first bound only.
+
+    The search starts from the weighted shortest paths and their plans, so
+    the bounds start tight. They are ``weighted_routes``' result, which
+    ``seeds`` passes in from a caller that has it already, as route-compare
+    does for its heuristic rows; without it the search computes it for every
+    link cost. The answer does not depend on the seeds. Ties break toward
+    shorter paths, then lexicographic node order.
     """
     _check_endpoints(net, s, d)
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    if seeds is None:
+        try:
+            seeds = weighted_routes(net, s, d)
+        except NoPathError:
+            seeds = {}
     channels = net.channels()
     fidelities = {ch.raw_fidelity for ch in channels}
     f_raw = fidelities.pop() if len(fidelities) == 1 else None
@@ -182,49 +213,49 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10) -> RoutedPath:
     best: RoutedPath | None = None
     best_d = -1.0
 
-    def consider(path) -> None:
+    def consider(path, result) -> None:
         nonlocal best, best_d
-        hops = len(path) - 1
-        result = _optimize_floored(chain_from_path(net, path),
-                                   floor=best_d if best is not None else None)
         if result is None:
             return
         plan, evaluation = result
         if best is None or evaluation.d_total > best_d or (
             evaluation.d_total == best_d
-            and (hops, tuple(path)) < (len(best.path) - 1, best.path)
+            and (len(path), path) < (len(best.path), best.path)
         ):
-            best = RoutedPath(tuple(path), plan, evaluation)
+            best = RoutedPath(path, plan, evaluation)
             best_d = evaluation.d_total
-    # Score the weighted shortest paths first: they are near-optimal in
-    # practice, which makes the bounds below prune most of the enumeration.
+
     seeded = set()
-    for cost in LinkCost:
-        try:
-            seed_path = shortest_weighted_path(net, s, d, cost)
-        except NoPathError:
-            break
-        if len(seed_path) - 1 <= cutoff and tuple(seed_path) not in seeded:
-            seeded.add(tuple(seed_path))
-            consider(seed_path)
+    for path, result in seeds.values():
+        if len(path) - 1 <= cutoff and path not in seeded:
+            seeded.add(path)
+            consider(path, result)
 
     def prune(hops_used, hops_to_go, min_egr):
         if min_egr < best_d:
             return True
         if f_raw is None or best is None:
             return False
-        if min_egr not in bounds:
-            # Entries below best_d only say so, and best_d never falls.
-            bound = d_bound_by_hops(f_raw, net.noise, min_egr, top, cutoff, floor=best_d)
-            bounds[min_egr] = bound, [max(bound[length:]) for length in range(cutoff + 1)]
-        bound, bound_from = bounds[min_egr]
         hops = hops_used + hops_to_go
         # With no hops to go the prefix is a whole path of exactly that length.
-        return (bound if hops_to_go == 0 else bound_from)[hops] < best_d
+        column = 0 if hops_to_go == 0 else 1
+        held = bounds.get(min_egr)
+        if held is None:
+            # The bound never falls as min EGR rises, so the nearest larger
+            # min EGR's may cut the prefix already. A held entry below the
+            # best_d it was built for only says so, and best_d never falls.
+            larger = [egr for egr in bounds if egr > min_egr]
+            if larger and bounds[min(larger)][column][hops] < best_d:
+                return True
+            bound = d_bound_by_hops(f_raw, net.noise, min_egr, top, cutoff, floor=best_d)
+            held = bounds[min_egr] = bound, [max(bound[length:]) for length in range(cutoff + 1)]
+        return held[column][hops] < best_d
 
     for path in _iter_simple_paths(net, s, d, cutoff, prune=prune):
-        if tuple(path) not in seeded:
-            consider(path)
+        path = tuple(path)
+        if path not in seeded:
+            consider(path, _optimize_floored(chain_from_path(net, path),
+                                             floor=best_d if best is not None else None))
     if best is None:
         raise NoPathError(f"no path from {s!r} to {d!r} within {cutoff} hops")
     return best

@@ -12,7 +12,8 @@ from entroute.chainopt import (MAX_CHAIN_HOPS, Chain, PurificationPlan, d_bound_
                                no_purification_plan, optimize_chain)
 from entroute.purify import (circuit_for, evaluate_circuit, oracle_simulate_step,
                              post_purification_rate)
-from entroute.werner import NoiseParams, PERFECT, distillable, swap_fidelity
+from entroute.werner import (NoiseParams, PERFECT, distillable, distillable_per_pair,
+                             swap_fidelity)
 
 NOISY = NoiseParams(0.99, 0.99)
 
@@ -308,6 +309,68 @@ def test_d_bound_by_hops_is_tight_on_equal_egrs():
         for n in range(1, MAX_CHAIN_HOPS + 1):
             d_total = optimize_chain(Chain((20,) * n, (0.95,) * n, noise))[1].d_total
             assert d_total <= bound[n] <= d_total * (1 + 1e-8)
+
+
+def _d_bound_by_hops_from_tables(f_raw, noise, min_egr, max_egr, max_hops, floor=None):
+    """``d_bound_by_hops`` as it was when each EGR had its own segment table."""
+    swap = noise.swap_factor
+    rows = []
+    for hops in range(1, chainopt.MAX_SEGMENT_HOPS + 1):
+        f_seg = swap_fidelity([f_raw] * hops, noise)
+        for pinned, egr in ((True, min_egr), (False, max_egr)):
+            table = chainopt._segment_table(f_seg, egr, noise.p2, noise.eta, 8)
+            rows.extend((rate, pinned, hops, w * swap) for _, w, rate in table)
+    rows.sort(key=lambda row: row[0], reverse=True)
+    slack = chainopt._BOUND_SLACK
+    bar = -math.inf if floor is None else floor / slack
+    bound = [0.0] * (max_hops + 1)
+    free = [0.0] * (chainopt.MAX_SEGMENT_HOPS + 1)
+    held = [0.0] * (chainopt.MAX_SEGMENT_HOPS + 1)
+    without = [1.0] + [0.0] * max_hops
+    with_min = [0.0] * (max_hops + 1)
+    i = 0
+    while i < len(rows) and rows[i][0] * slack >= max(bar, min(bound[1:], default=0.0)):
+        threshold = rows[i][0]
+        while i < len(rows) and rows[i][0] == threshold:
+            _, pinned, hops, w_swap = rows[i]
+            i += 1
+            admitted = held if pinned else free
+            if w_swap > admitted[hops]:
+                admitted[hops] = w_swap
+        if threshold > min_egr:
+            continue
+        reach = threshold * slack
+        for length in range(1, max_hops + 1):
+            best_without = best_with = 0.0
+            for hops in range(1, min(chainopt.MAX_SEGMENT_HOPS, length) + 1):
+                rest = length - hops
+                value = without[rest] * free[hops]
+                if value > best_without:
+                    best_without = value
+                value = max(with_min[rest] * free[hops], without[rest] * held[hops])
+                if value > best_with:
+                    best_with = value
+            without[length] = best_without
+            if best_with > with_min[length]:
+                with_min[length] = best_with
+                if reach > bound[length]:
+                    fid = min(1.0, 0.25 + 0.75 * best_with / swap)
+                    bound[length] = max(bound[length], reach * distillable_per_pair(fid))
+    return tuple(bound)
+
+
+def test_d_bound_by_hops_equals_the_per_egr_table_build():
+    # The min-EGR rows reuse the max-EGR table's W and the cached outcomes'
+    # p_succ; the bound must give every float the per-EGR tables gave.
+    for f_raw in (0.25, 0.8, 0.91, 0.95, 0.99, 1.0):
+        for noise in (PERFECT, NOISY, NoiseParams(0.97, 0.995)):
+            for min_egr, max_egr in ((1, 1), (3, 5), (7, 9), (8, 32), (16, 16), (20, 64)):
+                for max_hops in (7, 10):
+                    top = max(_d_bound_by_hops_from_tables(f_raw, noise, min_egr, max_egr,
+                                                           max_hops))
+                    for floor in (None, 0.0, 0.3 * top, top):
+                        args = f_raw, noise, min_egr, max_egr, max_hops, floor
+                        assert d_bound_by_hops(*args) == _d_bound_by_hops_from_tables(*args)
 
 
 def _segment(chain, start, hops, k):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -9,14 +10,15 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from entroute import cli
-from entroute.chainopt import chain_from_path, evaluate_plan, no_purification_plan
+from entroute import cli, harness, routing
+from entroute.chainopt import (MAX_CHAIN_HOPS, chain_from_path, evaluate_plan,
+                               no_purification_plan, optimize_chain)
 from entroute.cli import main
 from entroute.harness import (EXPERIMENT_KINDS, MAX_SEED_COUNT, ConfigError,
-                              ExperimentConfig, RESULT_FIELDS, build_metadata,
+                              ExperimentConfig, RESULT_FIELDS, ResultRow, build_metadata,
                               run_experiment, write_results)
 from entroute.netgraph import TopologySpec, generate_network, endpoints_for_separation
-from entroute.routing import LinkCost, shortest_weighted_path
+from entroute.routing import LinkCost, NoPathError, best_path_exhaustive, shortest_weighted_path
 from entroute.werner import NoiseParams
 
 
@@ -100,6 +102,106 @@ def test_routes_beyond_decoherence_budget_become_zero_rows():
         assert row.plan == "-"
         if row.cost_variant != "exhaustive":
             assert row.path_hops == 11
+
+
+def _route_rows_one_search_per_variant(config):
+    """Route-compare rows built as the harness once did: the exhaustive search
+    on its own, then one shortest-path search and one optimization per
+    variant, whether or not the paths repeat."""
+    rows = []
+    for seed in config.seeds:
+        for gate in config.gate_fidelities:
+            for channel in config.channel_fidelities:
+                for topology in config.topologies:
+                    extent = config.resolved_extent()
+                    net = generate_network(
+                        TopologySpec(topology, extent, *config.egr_range, channel, seed),
+                        NoiseParams(gate, gate))
+                    s, d = endpoints_for_separation(extent, config.hop_separation)
+                    scale = net.mean_channel_egr()
+
+                    def row(variant, hops=0, result=None):
+                        if result is None:
+                            return ResultRow(config.id, seed, topology, gate, channel, variant,
+                                             hops, "-", 0.0, 0.0, 0.0, 0.0)
+                        plan, evaluation = result
+                        return ResultRow(config.id, seed, topology, gate, channel, variant,
+                                         hops, plan.summary(), evaluation.rate,
+                                         evaluation.final_fidelity, evaluation.d_total,
+                                         evaluation.d_total / scale)
+                    if config.include_exhaustive:
+                        try:
+                            best = best_path_exhaustive(net, s, d, config.cutoff)
+                        except NoPathError:
+                            rows.append(row("exhaustive"))
+                        else:
+                            rows.append(row("exhaustive", len(best.path) - 1,
+                                            (best.plan, best.evaluation)))
+                    for variant in config.cost_variants:
+                        try:
+                            path = shortest_weighted_path(net, s, d, LinkCost(variant))
+                        except NoPathError:
+                            rows.append(row(variant))
+                            continue
+                        hops = len(path) - 1
+                        rows.append(row(variant, hops,
+                                        optimize_chain(chain_from_path(net, path))
+                                        if hops <= MAX_CHAIN_HOPS else None))
+    rows.sort(key=lambda r: (r.seed, r.gate_fidelity, r.channel_fidelity,
+                             r.topology, r.cost_variant))
+    return rows
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"include_exhaustive": False},
+    {"cost_variants": ("inv_egr",)},
+    {"cost_variants": ("inv_egr_sq", "hop")},
+    {"cost_variants": ("inv_egr_sq", "hop"), "include_exhaustive": False},
+    {"cost_variants": ()},
+    {"topologies": ("triangular", "hexagonal"), "channel_fidelities": (0.95, 0.99),
+     "gate_fidelities": (1.0, 0.99), "cutoff": 6},
+    # Every route is 11 hops: zero rows with and without a path length.
+    {"hop_separation": 11, "extent": (1, 13), "seeds": (1,)},
+], ids=["all", "no-exhaustive", "one-variant", "reordered-subset",
+        "reordered-subset-no-exhaustive", "no-variants", "mixed-cells", "too-long"])
+def test_route_compare_rows_equal_one_search_per_variant(overrides):
+    config = _route_config(**overrides)
+    assert run_experiment(config) == _route_rows_one_search_per_variant(config)
+
+
+def test_route_compare_searches_and_optimizes_each_path_once(monkeypatch):
+    config = _route_config(seeds=(1, 2, 3), gate_fidelities=(1.0, 0.99),
+                           topologies=("square", "triangular"))
+    searches = []  # (network, path) per shortest-path search
+    unfloored = []  # chains optimized without a floor
+
+    def count_searches(search):
+        def wrapper(net, *args, **kwargs):
+            path = search(net, *args, **kwargs)
+            searches.append((net, tuple(path)))
+            return path
+        return wrapper
+
+    def count_unfloored(optimize):
+        def wrapper(chain, *args, **kwargs):
+            if not args and kwargs.get("floor") is None:
+                unfloored.append(chain)
+            return optimize(chain, *args, **kwargs)
+        return wrapper
+    for module in (routing, harness):
+        monkeypatch.setattr(module, "shortest_weighted_path",
+                            count_searches(module.shortest_weighted_path))
+    for module, name in ((routing, "optimize_chain"), (routing, "_optimize_floored"),
+                         (harness, "optimize_chain")):
+        monkeypatch.setattr(module, name, count_unfloored(getattr(module, name)))
+    run_experiment(config)
+    by_cell: dict[int, list] = {}
+    for net, path in searches:  # searches holds every network, so ids stay unique
+        by_cell.setdefault(id(net), []).append(path)
+    assert len(by_cell) == 3 * 2 * 2
+    assert all(len(paths) == len(config.cost_variants) for paths in by_cell.values())
+    assert len(unfloored) <= sum(len(set(paths)) for paths in by_cell.values())
 
 
 def test_multipath_rows_are_cumulative():
@@ -211,6 +313,12 @@ def test_config_from_dict_diagnostics():
     with pytest.raises(ConfigError, match="seeds"):
         ExperimentConfig.from_dict({"id": "x", "kind": "chain-sweep",
                                     "seeds": {"start": 0, "count": MAX_SEED_COUNT + 1}})
+    with pytest.raises(ConfigError, match="id"):
+        ExperimentConfig.from_dict({"id": ["a"], "kind": "route-compare"})
+    # A JSON string is truthy; it must not switch the exhaustive search on.
+    with pytest.raises(ConfigError, match="include_exhaustive"):
+        ExperimentConfig.from_dict({"id": "x", "kind": "route-compare",
+                                    "include_exhaustive": "false"})
 
 
 JSON_VALUES = st.recursive(
@@ -243,6 +351,8 @@ def test_config_from_dict_fuzz_returns_a_config_or_raises_config_error(raw):
     except ConfigError:
         return
     assert isinstance(config, ExperimentConfig)
+    assert isinstance(config.id, str)
+    assert isinstance(config.include_exhaustive, bool)
 
 
 def test_cli_round_trip(tmp_path):
@@ -334,3 +444,30 @@ def test_cli_seed_override(tmp_path):
     with open(out, encoding="utf-8") as fh:
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     assert {r["seed"] for r in rows} == {"9"}
+
+
+# sha256 of the CSV that the CLI writes for each configs/*.json at two seed
+# overrides, computed at the commit before route-compare shared its
+# shortest-path seeds with the exhaustive search. Unlike the rerun check,
+# this catches a result that changes from one commit to the next. The
+# header holds the package version, so a version bump changes every digest.
+GOLDEN_CSV_SHA256 = {
+    ("chain_sweep", 3): "0dc92653d25d93beaa5c993a25188bee6f39f593058aa1de939d89a0df3ccc71",
+    ("chain_sweep", 4): "4373f7a8498e91b537036881715dc8321904fd03dbde08d5d26e1b55d325b5bb",
+    ("multipath_channel_egr", 3): "d827fa62a5f3a3d8e2d8b57c12343715891f943ec313527bd8184b13fc60b934",
+    ("multipath_channel_egr", 4): "acbf7639e5ff0b34691d71b87d2f1346c9711d1089aa7d17ae06c9727ee3b4ce",
+    ("multipath_repeater_egr", 3): "db531a2a0b5634f83f863d08efb2ef13570f03be5ddf7dd90695ed9f1748a73a",
+    ("multipath_repeater_egr", 4): "9fce9e24ff31af39c8c4a0fa91caf13ec9ff990b074c8393fbebb108209ee9c7",
+    ("route_compare", 3): "3430f360537c212d0b537bfaff5fcc4d66bbc90c3ea1af78aa4987b37d781bde",
+    ("route_compare", 4): "62a5a0da51f7f8fe13d38dda2f5fb52809c2fc353a851307f81c33069e3e6d6c",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_CSV_SHA256))
+def test_configs_write_the_golden_tables(tmp_path, name, seed):
+    config_path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    command = {"chain_sweep": "chain", "route_compare": "route"}.get(name, "multipath")
+    out = tmp_path / f"{name}-{seed}.csv"
+    assert main([command, "--config", str(config_path), "--out", str(out),
+                 "--seed-override", str(seed)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[name, seed]

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from entroute import routing
 from entroute.chainopt import chain_from_path, optimize_chain
-from entroute.netgraph import (Channel, Network, TopologySpec, endpoints_for_separation,
-                               generate_network)
-from entroute.routing import (LinkCost, NoPathError, best_path_exhaustive,
+from entroute.netgraph import (Channel, Network, TopologySpec, default_extent,
+                               endpoints_for_separation, generate_network)
+from entroute.routing import (LinkCost, NoPathError, RoutedPath, best_path_exhaustive,
                               enumerate_paths, multipath_greedy,
-                              shortest_weighted_path)
+                              shortest_weighted_path, weighted_routes)
 from entroute.werner import NoiseParams, PERFECT
 
 NOISY = NoiseParams(0.99, 0.99)
@@ -130,6 +131,64 @@ def test_dijkstra_optimal_on_random_graphs():
                         for u, v in zip(path, path[1:]))
             expected = _brute_force_best(net, s, d, cost)
             assert (total, len(path) - 1, tuple(path)) == expected
+
+
+def test_weighted_routes_optimize_each_distinct_path_once(monkeypatch):
+    net = _net(DIAMOND)
+    calls = []
+
+    def optimize(chain, *args, **kwargs):
+        calls.append(chain)
+        return optimize_chain(chain, *args, **kwargs)
+    monkeypatch.setattr(routing, "optimize_chain", optimize)
+    routes = weighted_routes(net, 0, 4)
+    assert list(routes) == list(LinkCost)
+    assert routes[LinkCost.HOP][0] == (0, 1, 4)
+    assert routes[LinkCost.INV_EGR][0] == routes[LinkCost.INV_EGR_SQ][0] == (0, 2, 3, 4)
+    assert len(calls) == 2
+    assert routes[LinkCost.INV_EGR][1] is routes[LinkCost.INV_EGR_SQ][1]
+    for path, result in routes.values():
+        assert result == optimize_chain(chain_from_path(net, path))
+    assert list(weighted_routes(net, 0, 4, (LinkCost.INV_EGR_SQ,))) == [LinkCost.INV_EGR_SQ]
+
+
+def test_weighted_routes_beyond_the_chain_cap_have_no_plan():
+    line = _net([(i, i + 1, 10) for i in range(11)])
+    routes = weighted_routes(line, 0, 11)
+    assert all(routes[cost] == (tuple(range(12)), None) for cost in LinkCost)
+    with pytest.raises(NoPathError):
+        weighted_routes(_net([(0, 1, 10), (2, 3, 10)]), 0, 3)
+
+
+def test_exhaustive_answer_does_not_depend_on_its_seeds():
+    extent = (4, 6)
+    s, d = endpoints_for_separation(extent, 3)
+    for seed in (1, 2, 3):
+        for noise in (PERFECT, NOISY):
+            net = generate_network(TopologySpec("triangular", extent, 8, 32, 0.97, seed=seed),
+                                   noise)
+            best = best_path_exhaustive(net, s, d, 6)
+            routes = weighted_routes(net, s, d)
+            for seeds in ({}, routes, {LinkCost.HOP: routes[LinkCost.HOP]},
+                          dict(reversed(routes.items()))):
+                assert best_path_exhaustive(net, s, d, 6, seeds) == best
+
+
+def test_exhaustive_matches_brute_force_in_the_benchmark_regime():
+    # The benchmark's setting: triangular lattice, hop separation 3, cutoff 7,
+    # perfect gates, one raw fidelity. There the joint bound prunes, and most
+    # prefixes at a new minimum EGR are cut by the bound held for a larger one.
+    # On seeds 17, 20 and 22 an unsound reuse, of a smaller minimum EGR's
+    # bound, returns a worse path.
+    extent = default_extent(3)
+    s, d = endpoints_for_separation(extent, 3)
+    for seed, egr_range in ((1, (8, 32)), (17, (8, 32)), (20, (8, 32)), (22, (8, 32)),
+                            (5, (16, 16))):
+        net = generate_network(TopologySpec("triangular", extent, *egr_range, 0.99, seed=seed))
+        best = best_path_exhaustive(net, s, d, 7)
+        d_total, path = _brute_force_exhaustive(net, s, d, 7)
+        assert (best.evaluation.d_total, list(best.path)) == (d_total, path)
+        assert best == RoutedPath(tuple(path), *optimize_chain(chain_from_path(net, path)))
 
 
 def test_exhaustive_on_chain_equals_dijkstra():
