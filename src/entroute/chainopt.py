@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .netgraph import Network
-from .purify import MAX_CIRCUIT_K, circuit_for, evaluate_circuit, post_purification_rate
+from .purify import (MAX_CIRCUIT_K, _evaluate_cached, circuit_for, evaluate_circuit,
+                     post_purification_rate)
 from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, distillable,
                      distillable_per_pair, fidelity_to_w, swap_fidelity)
 
@@ -121,18 +122,25 @@ def enumerate_segmentations(n_hops: int) -> tuple[tuple[int, ...], ...]:
     return tuple(result)
 
 
+def _rate(egr: int, k: int, p_succ: float) -> float:
+    """``post_purification_rate`` of the width-``k`` circuit, from its p_succ alone."""
+    return float(egr) if k == 1 else p_succ * float(egr // k)
+
+
 @lru_cache(maxsize=4096)
 def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
                    max_k: int) -> tuple[tuple[float, float, float], ...]:
-    """Per-k table for one segment: (output fidelity, its W value, rate)."""
-    noise = NoiseParams(p2, eta)
-    rows = []
-    for k in range(1, max_k + 1):
-        circuit = circuit_for(k)
-        outcome = evaluate_circuit(circuit, f_raw, noise)
-        rate = post_purification_rate(min_egr, circuit, outcome)
-        rows.append((outcome.f_out, fidelity_to_w(outcome.f_out), rate))
-    return tuple(rows)
+    """Per-k table for one segment: (output fidelity, its W value, rate).
+
+    Row k - 1 is the (f_out, p_succ) pair of width k from the one cached
+    fold of every standard circuit at ``f_raw`` (``purify._evaluate_cached``),
+    rated by ``_rate``; no circuit is looked up or evaluated per width.
+    """
+    check_fidelity(f_raw)
+    if min_egr < 0:
+        raise ValueError(f"egr must be >= 0, got {min_egr}")
+    return tuple([(f_out, fidelity_to_w(f_out), _rate(min_egr, k, p_succ))
+                  for k, (f_out, p_succ) in enumerate(_evaluate_cached(f_raw, p2, eta)[:max_k], 1)])
 
 
 def evaluate_plan(chain: Chain, plan: PurificationPlan) -> PlanEvaluation:
@@ -323,14 +331,16 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     swap = noise.swap_factor
     # (rate, holds the minimum hop, hops, W * swap) for every segment circuit.
     # Only the rate depends on EGR, so the min-EGR rows take W from the
-    # max-EGR table and p_succ from the cached circuit outcome.
+    # max-EGR table and p_succ from the same cached fold.
+    if min_egr < 0:
+        raise ValueError(f"egr must be >= 0, got {min_egr}")
     rows = []
     for hops in range(1, MAX_SEGMENT_HOPS + 1):
         f_seg = swap_fidelity([f_raw] * hops, noise)
         table = _segment_table(f_seg, max_egr, noise.p2, noise.eta, MAX_CIRCUIT_K)
-        for k, (_, w, rate) in enumerate(table, 1):
-            circuit = circuit_for(k)
-            low = post_purification_rate(min_egr, circuit, evaluate_circuit(circuit, f_seg, noise))
+        outcomes = _evaluate_cached(f_seg, noise.p2, noise.eta)
+        for k, ((_, w, rate), (_, p_succ)) in enumerate(zip(table, outcomes), 1):
+            low = _rate(min_egr, k, p_succ)
             rows += [(low, True, hops, w * swap), (rate, False, hops, w * swap)]
     rows.sort(key=lambda row: row[0], reverse=True)
     bar = -math.inf if floor is None else floor / _BOUND_SLACK

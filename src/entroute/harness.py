@@ -82,8 +82,6 @@ class ExperimentConfig:
             for value in getattr(self, name):
                 if not (_is_int(value) or isinstance(value, float)):
                     raise ConfigError(f"{name}: values must be numbers, got {value!r}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds: must be distinct")
         if not self.gate_fidelities:
             raise ConfigError("gate_fidelities: must be non-empty")
         for g in self.gate_fidelities:
@@ -125,6 +123,12 @@ class ExperimentConfig:
             raise ConfigError(f"repeater_egr_range: invalid range {self.repeater_egr_range}")
         if self.multipath_cost not in [c.value for c in LinkCost]:
             raise ConfigError(f"multipath_cost: unknown cost {self.multipath_cost!r}")
+        # A repeated value would run its cells again and write their rows twice.
+        for name in ("seeds", "gate_fidelities", "channel_fidelities", "topologies",
+                     "cost_variants"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name}: values must be distinct, got {values!r}")
 
     def resolved_extent(self) -> tuple[int, int]:
         return self.extent if self.extent is not None else default_extent(self.hop_separation)

@@ -6,6 +6,12 @@ Circuits are built as recurrence/pumping trees: the largest power of two
 below k is purified as a balanced recurrence tree and any remaining raw
 pairs pump the running output one at a time. k = 1 is the identity
 (no purification).
+
+All eight standard circuits share their subtrees, so they are evaluated
+together: a schedule of the 7 distinct purify steps, children first, is
+derived once from the trees, and one fold over it gives every width's
+(f_out, p_succ) pair at one input fidelity and noise. Those pairs are cached
+per (f_in, p2, eta).
 """
 
 from __future__ import annotations
@@ -73,15 +79,15 @@ def circuit_for(k: int) -> PurificationCircuit:
     return PurificationCircuit(k=k, tree=tree)
 
 
-def purify_pair(f1: float, f2: float, noise: NoiseParams = PERFECT) -> CircuitOutcome:
-    """One two-pair purification step; the first pair is kept.
+def _noise_terms(p2: float, eta: float) -> tuple[float, float, float]:
+    """(g2, m_eq, m_x) of one purify step: the probabilities that both CNOTs
+    survive, that the two readouts are both right or both wrong, and that
+    exactly one of them is wrong."""
+    return p2 * p2, eta * eta + (1.0 - eta) * (1.0 - eta), 2.0 * eta * (1.0 - eta)
 
-    Both pairs are Werner states; the step applies bilateral CNOTs (each
-    depolarizing with survival probability p2), measures the consumed pair
-    with per-measurement flip probability 1 - eta, and keeps the first pair
-    when the reported outcomes coincide. The kept state is re-twirled to
-    Werner form, so only its fidelity is tracked.
-    """
+
+def _step(f1: float, f2: float, g2: float, m_eq: float, m_x: float) -> tuple[float, float]:
+    """(f_out, p_succ) of one purify step, the noise given as ``_noise_terms``."""
     check_fidelity(f1)
     check_fidelity(f2)
     a1 = (1.0 - f1) / 3.0
@@ -91,41 +97,79 @@ def purify_pair(f1: float, f2: float, noise: NoiseParams = PERFECT) -> CircuitOu
     s_even = f1 * f2 + f1 * a2 + f2 * a1 + 5.0 * a1 * a2
     keep_even = f1 * f2 + a1 * a2
     keep_odd = f1 * a2 + a1 * a2
-    g2 = noise.p2 * noise.p2
-    m_eq = noise.eta * noise.eta + (1.0 - noise.eta) * (1.0 - noise.eta)
-    m_x = 2.0 * noise.eta * (1.0 - noise.eta)
     p_succ = g2 * (m_eq * s_even + m_x * (1.0 - s_even)) + (1.0 - g2) * 0.5
     f_num = g2 * (m_eq * keep_even + m_x * keep_odd) + (1.0 - g2) * 0.125
-    return CircuitOutcome(f_out=f_num / p_succ, p_succ=p_succ)
+    return f_num / p_succ, p_succ
 
 
-def _evaluate_tree(tree, f_in: float, noise: NoiseParams, memo: dict) -> tuple[float, float]:
-    """(f_out, p_succ) of ``tree``; ``memo`` holds the subtrees already folded
-    at this ``f_in`` and ``noise``, so a subtree shared by several trees costs
-    its purify steps once."""
+def purify_pair(f1: float, f2: float, noise: NoiseParams = PERFECT) -> CircuitOutcome:
+    """One two-pair purification step; the first pair is kept.
+
+    Both pairs are Werner states; the step applies bilateral CNOTs (each
+    depolarizing with survival probability p2), measures the consumed pair
+    with per-measurement flip probability 1 - eta, and keeps the first pair
+    when the reported outcomes coincide. The kept state is re-twirled to
+    Werner form, so only its fidelity is tracked.
+    """
+    f_out, p_succ = _step(f1, f2, *_noise_terms(noise.p2, noise.eta))
+    return CircuitOutcome(f_out=f_out, p_succ=p_succ)
+
+
+def _evaluate_tree(tree, f_in: float, noise: NoiseParams) -> tuple[float, float]:
+    """(f_out, p_succ) of any combination tree with every leaf at ``f_in``."""
     if tree is LEAF:
         return f_in, 1.0
-    if tree not in memo:
-        kept, consumed = tree
-        f_kept, p_kept = _evaluate_tree(kept, f_in, noise, memo)
-        f_cons, p_cons = _evaluate_tree(consumed, f_in, noise, memo)
-        step = purify_pair(f_kept, f_cons, noise)
-        memo[tree] = step.f_out, p_kept * p_cons * step.p_succ
-    return memo[tree]
+    kept, consumed = tree
+    f_kept, p_kept = _evaluate_tree(kept, f_in, noise)
+    f_cons, p_cons = _evaluate_tree(consumed, f_in, noise)
+    step = purify_pair(f_kept, f_cons, noise)
+    return step.f_out, p_kept * p_cons * step.p_succ
+
+
+def _schedule() -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The standard circuits as one step schedule over slots.
+
+    Slot 0 holds the raw pair; step i reads the (kept, consumed) slots it
+    names and writes slot i + 1. The steps are the distinct subtrees of
+    ``circuit_for(1..MAX_CIRCUIT_K)``, children first, so the eight trees
+    share theirs. Also returns each width's root slot, k = 1 first.
+    """
+    slots = {LEAF: 0}
+    steps = []
+
+    def place(tree) -> int:
+        if tree not in slots:
+            kept, consumed = tree
+            steps.append((place(kept), place(consumed)))
+            slots[tree] = len(steps)
+        return slots[tree]
+
+    roots = tuple(place(circuit_for(k).tree) for k in range(1, MAX_CIRCUIT_K + 1))
+    return tuple(steps), roots
+
+
+_STEPS, _ROOTS = _schedule()
 
 
 @lru_cache(maxsize=4096)
-def _evaluate_cached(f_in: float, p2: float, eta: float) -> tuple[CircuitOutcome, ...]:
-    """Every standard circuit, k = 1..MAX_CIRCUIT_K, at input ``f_in``; entry k - 1 is k.
+def _evaluate_cached(f_in: float, p2: float, eta: float) -> tuple[tuple[float, float], ...]:
+    """(f_out, p_succ) of every standard circuit, k = 1..MAX_CIRCUIT_K, at
+    input ``f_in``; entry k - 1 is k.
 
-    One walk with one memo: the eight trees share their subtrees, so it takes
-    7 purify steps instead of 28. Each subtree is folded in the same operand
-    order as on its own, so every float is the same as a walk of one tree.
+    One fold over the step schedule: 7 purify steps, not the 28 of eight
+    separate trees. A subtree's success probability is p_kept * p_cons *
+    p_succ, in that order, so every float is the one a walk of its tree
+    gives.
     """
-    noise = NoiseParams(p2, eta)
-    memo: dict = {}
-    return tuple(CircuitOutcome(*_evaluate_tree(circuit_for(k).tree, f_in, noise, memo))
-                 for k in range(1, MAX_CIRCUIT_K + 1))
+    NoiseParams(p2, eta)  # rejects an invalid p2 or eta
+    g2, m_eq, m_x = _noise_terms(p2, eta)
+    slots = [(f_in, 1.0)]
+    for kept, consumed in _STEPS:
+        f_kept, p_kept = slots[kept]
+        f_cons, p_cons = slots[consumed]
+        f_out, p_succ = _step(f_kept, f_cons, g2, m_eq, m_x)
+        slots.append((f_out, p_kept * p_cons * p_succ))
+    return tuple([slots[root] for root in _ROOTS])
 
 
 def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
@@ -134,15 +178,14 @@ def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
 
     The success probability is the product of every step's success
     probability; k = 1 returns (f_in, 1). A standard circuit (``circuit_for``)
-    is read from the cached walk of all eight at this ``f_in`` and noise.
+    is read from the cached fold of all eight at this ``f_in`` and noise.
     """
     check_fidelity(f_in)
     if circuit.tree is LEAF:
         return CircuitOutcome(f_out=f_in, p_succ=1.0)
     if circuit == circuit_for(circuit.k):
-        return _evaluate_cached(f_in, noise.p2, noise.eta)[circuit.k - 1]
-    f_out, p_succ = _evaluate_tree(circuit.tree, f_in, noise, {})
-    return CircuitOutcome(f_out=f_out, p_succ=p_succ)
+        return CircuitOutcome(*_evaluate_cached(f_in, noise.p2, noise.eta)[circuit.k - 1])
+    return CircuitOutcome(*_evaluate_tree(circuit.tree, f_in, noise))
 
 
 def post_purification_rate(egr: int, circuit: PurificationCircuit,

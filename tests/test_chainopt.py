@@ -10,10 +10,10 @@ from entroute import chainopt, purify
 from entroute.chainopt import (MAX_CHAIN_HOPS, Chain, PurificationPlan, d_bound_by_hops,
                                enumerate_segmentations, evaluate_plan,
                                no_purification_plan, optimize_chain)
-from entroute.purify import (circuit_for, evaluate_circuit, oracle_simulate_step,
-                             post_purification_rate)
+from entroute.purify import (LEAF, CircuitOutcome, circuit_for, evaluate_circuit,
+                             oracle_simulate_step, post_purification_rate, purify_pair)
 from entroute.werner import (NoiseParams, PERFECT, distillable, distillable_per_pair,
-                             swap_fidelity)
+                             fidelity_to_w, swap_fidelity)
 
 NOISY = NoiseParams(0.99, 0.99)
 
@@ -311,14 +311,41 @@ def test_d_bound_by_hops_is_tight_on_equal_egrs():
             assert d_total <= bound[n] <= d_total * (1 + 1e-8)
 
 
+def _fold(tree, f, noise):
+    """(f_out, p_succ) of ``tree`` by ``purify_pair`` alone, kept pair first."""
+    if tree is LEAF:
+        return f, 1.0
+    f_kept, p_kept = _fold(tree[0], f, noise)
+    f_cons, p_cons = _fold(tree[1], f, noise)
+    step = purify_pair(f_kept, f_cons, noise)
+    return step.f_out, p_kept * p_cons * step.p_succ
+
+
+def _public_segment_table(f_raw, min_egr, p2, eta, max_k):
+    """``_segment_table`` from public names, each circuit folded by ``_fold``.
+
+    ``evaluate_circuit`` reads the same cached fold as the table, so it could
+    not show a drift in that fold; a fold of ``purify_pair`` can.
+    """
+    noise = NoiseParams(p2, eta)
+    rows = []
+    for k in range(1, max_k + 1):
+        circuit = circuit_for(k)
+        outcome = CircuitOutcome(*_fold(circuit.tree, f_raw, noise))
+        rate = post_purification_rate(min_egr, circuit, outcome)
+        rows.append((outcome.f_out, fidelity_to_w(outcome.f_out), rate))
+    return tuple(rows)
+
+
 def _d_bound_by_hops_from_tables(f_raw, noise, min_egr, max_egr, max_hops, floor=None):
-    """``d_bound_by_hops`` as it was when each EGR had its own segment table."""
+    """``d_bound_by_hops`` as it was when each EGR had its own segment table,
+    the tables built by ``_public_segment_table``."""
     swap = noise.swap_factor
     rows = []
     for hops in range(1, chainopt.MAX_SEGMENT_HOPS + 1):
         f_seg = swap_fidelity([f_raw] * hops, noise)
         for pinned, egr in ((True, min_egr), (False, max_egr)):
-            table = chainopt._segment_table(f_seg, egr, noise.p2, noise.eta, 8)
+            table = _public_segment_table(f_seg, egr, noise.p2, noise.eta, 8)
             rows.extend((rate, pinned, hops, w * swap) for _, w, rate in table)
     rows.sort(key=lambda row: row[0], reverse=True)
     slack = chainopt._BOUND_SLACK
@@ -371,6 +398,41 @@ def test_d_bound_by_hops_equals_the_per_egr_table_build():
                     for floor in (None, 0.0, 0.3 * top, top):
                         args = f_raw, noise, min_egr, max_egr, max_hops, floor
                         assert d_bound_by_hops(*args) == _d_bound_by_hops_from_tables(*args)
+
+
+def test_segment_tables_and_bound_equal_the_public_fold_bit_for_bit():
+    rng = random.Random(23)
+    fidelities = [0.25, 0.5, 1.0] + [rng.uniform(0.25, 1.0) for _ in range(12)]
+    for f_raw in fidelities:
+        for noise in (PERFECT, NOISY, NoiseParams(0.97, 0.995)):
+            for max_k in range(1, 9):
+                # EGRs below k rate a circuit at 0; odd ones leave a remainder.
+                for egr in (0, 1, 3, 7, 8, 20, 33):
+                    args = f_raw, egr, noise.p2, noise.eta, max_k
+                    assert chainopt._segment_table(*args) == _public_segment_table(*args)
+            for min_egr, max_egr in ((1, 1), (3, 7), (5, 40)):
+                for floor in (None, 0.0):
+                    args = f_raw, noise, min_egr, max_egr, MAX_CHAIN_HOPS, floor
+                    assert d_bound_by_hops(*args) == _d_bound_by_hops_from_tables(*args)
+
+
+def test_segment_table_and_bound_keep_their_checks():
+    for bad in (1.0 + 1e-9, 0.25 - 1e-9):
+        with pytest.raises(ValueError):
+            chainopt._segment_table(bad, 16, 1.0, 1.0, 8)
+        with pytest.raises(ValueError):
+            d_bound_by_hops(bad, PERFECT, 8, 16, MAX_CHAIN_HOPS)
+    with pytest.raises(ValueError):
+        chainopt._segment_table(0.9, -1, 1.0, 1.0, 8)
+    with pytest.raises(ValueError):
+        d_bound_by_hops(0.9, PERFECT, -1, 16, MAX_CHAIN_HOPS)
+    with pytest.raises(ValueError):
+        chainopt._segment_table(0.9, 16, 1.0, 0.5, 8)
+    # One cached fold per segment length: the min-EGR rows read the max-EGR
+    # tables' fold again.
+    misses = purify._evaluate_cached.cache_info().misses
+    d_bound_by_hops(0.9123456789, NOISY, 5, 30, MAX_CHAIN_HOPS)
+    assert purify._evaluate_cached.cache_info().misses <= misses + 3
 
 
 def _segment(chain, start, hops, k):

@@ -293,6 +293,15 @@ def test_config_validation_messages():
     with pytest.raises(ConfigError, match="channel_fidelities"):
         ExperimentConfig.from_dict({"id": "x", "kind": "chain-sweep",
                                     "channel_fidelities": ["a"]})
+    for name, repeated in (("gate_fidelities", (1.0, 0.99, 1)),
+                           ("channel_fidelities", (0.95, 0.95)),
+                           ("topologies", ("square", "square")),
+                           ("cost_variants", ("hop", "inv_egr", "hop"))):
+        with pytest.raises(ConfigError, match=f"{name}: values must be distinct"):
+            _route_config(**{name: repeated})
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig.from_dict({"id": "x", "kind": "route-compare",
+                                        name: list(repeated)})
 
 
 def test_config_from_dict_diagnostics():

@@ -184,3 +184,22 @@ def test_standard_circuits_are_the_step_fold_from_one_walk():
             assert (out.f_out, out.p_succ) == _fold(circuit_for(k).tree, f, noise)
         # All eight widths at one (f, noise) come from one cached walk.
         assert purify._evaluate_cached.cache_info().misses == misses + 1
+
+
+def test_checks_and_non_standard_trees_survive_the_fold():
+    for bad in (1.0 + 1e-9, 0.25 - 1e-9):
+        with pytest.raises(ValueError):
+            purify_pair(bad, 0.9)
+        with pytest.raises(ValueError):
+            purify_pair(0.9, bad, NOISY)
+        with pytest.raises(ValueError):
+            evaluate_circuit(circuit_for(8), bad, NOISY)
+    # Pumping first, and a kept raw pair against a purified one: neither is
+    # a standard circuit, so both take the tree walk.
+    for tree in ((((LEAF, LEAF), LEAF), LEAF), (LEAF, (LEAF, LEAF))):
+        circuit = PurificationCircuit(k=_leaves(tree), tree=tree)
+        assert circuit != circuit_for(circuit.k)
+        for f in (0.25, 0.6, 0.8, 0.95, 1.0):
+            for noise in (NoiseParams(1.0, 1.0), NOISY):
+                out = evaluate_circuit(circuit, f, noise)
+                assert (out.f_out, out.p_succ) == _fold(tree, f, noise)
