@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .netgraph import Network
-from .purify import (MAX_CIRCUIT_K, _evaluate_cached, circuit_for, evaluate_circuit,
+from .purify import (MAX_CIRCUIT_K, _evaluate_cached, _rate, circuit_for, evaluate_circuit,
                      post_purification_rate)
 from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, distillable,
                      distillable_per_pair, fidelity_to_w, swap_fidelity)
@@ -122,11 +122,6 @@ def enumerate_segmentations(n_hops: int) -> tuple[tuple[int, ...], ...]:
     return tuple(result)
 
 
-def _rate(egr: int, k: int, p_succ: float) -> float:
-    """``post_purification_rate`` of the width-``k`` circuit, from its p_succ alone."""
-    return float(egr) if k == 1 else p_succ * float(egr // k)
-
-
 @lru_cache(maxsize=4096)
 def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
                    max_k: int) -> tuple[tuple[float, float, float], ...]:
@@ -134,11 +129,11 @@ def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
 
     Row k - 1 is the (f_out, p_succ) pair of width k from the one cached
     fold of every standard circuit at ``f_raw`` (``purify._evaluate_cached``),
-    rated by ``_rate``; no circuit is looked up or evaluated per width.
+    rated by ``purify._rate``; no circuit is looked up or evaluated per width.
     """
     check_fidelity(f_raw)
-    if min_egr < 0:
-        raise ValueError(f"egr must be >= 0, got {min_egr}")
+    if not 1 <= max_k <= MAX_CIRCUIT_K:
+        raise ValueError(f"circuit width k must be in 1..{MAX_CIRCUIT_K}, got {max_k}")
     return tuple([(f_out, fidelity_to_w(f_out), _rate(min_egr, k, p_succ))
                   for k, (f_out, p_succ) in enumerate(_evaluate_cached(f_raw, p2, eta)[:max_k], 1)])
 
@@ -332,8 +327,6 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     # (rate, holds the minimum hop, hops, W * swap) for every segment circuit.
     # Only the rate depends on EGR, so the min-EGR rows take W from the
     # max-EGR table and p_succ from the same cached fold.
-    if min_egr < 0:
-        raise ValueError(f"egr must be >= 0, got {min_egr}")
     rows = []
     for hops in range(1, MAX_SEGMENT_HOPS + 1):
         f_seg = swap_fidelity([f_raw] * hops, noise)

@@ -196,11 +196,14 @@ def post_purification_rate(egr: int, circuit: PurificationCircuit,
     must succeed: the rate is p_succ * floor(egr / k). Without purification
     (k = 1) the raw rate passes through.
     """
+    return _rate(egr, circuit.k, outcome.p_succ)
+
+
+def _rate(egr: int, k: int, p_succ: float) -> float:
+    """``post_purification_rate`` of the width-``k`` circuit, from its p_succ alone."""
     if egr < 0:
         raise ValueError(f"egr must be >= 0, got {egr}")
-    if circuit.k == 1:
-        return float(egr)
-    return outcome.p_succ * float(egr // circuit.k)
+    return float(egr) if k == 1 else p_succ * float(egr // k)
 
 
 def oracle_simulate_step(f1: float, f2: float,

@@ -428,6 +428,12 @@ def test_segment_table_and_bound_keep_their_checks():
         d_bound_by_hops(0.9, PERFECT, -1, 16, MAX_CHAIN_HOPS)
     with pytest.raises(ValueError):
         chainopt._segment_table(0.9, 16, 1.0, 0.5, 8)
+    chain = Chain(egrs=(16, 16), fidelities=(0.9, 0.9))
+    for bad_k in (0, -1, purify.MAX_CIRCUIT_K + 1):
+        with pytest.raises(ValueError):
+            chainopt._segment_table(0.9, 16, 1.0, 1.0, bad_k)
+        with pytest.raises(ValueError):
+            optimize_chain(chain, max_k=bad_k)
     # One cached fold per segment length: the min-EGR rows read the max-EGR
     # tables' fold again.
     misses = purify._evaluate_cached.cache_info().misses
