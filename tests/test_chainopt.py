@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -564,3 +565,56 @@ def test_optimize_tie_breaks_are_deterministic():
     # Perfect links: every k=1 plan ties at fidelity 1; fewest segments wins.
     assert evaluation.final_fidelity == 1.0
     assert plan.segments == ((2, 1),)
+
+
+def _pinned_digest_inputs():
+    """Seeded optimizer and bound inputs for the pinned output digest.
+
+    Chains of 1-10 hops with EGRs 1-64 (many below the widest k), most of
+    them distillable, the rest with purify fixed points and low fidelities, perfect and noisy gates, every
+    ``max_k`` and floors None, 0 and near the chain's own D; then the bound
+    on a grid of EGR pairs and floors.
+    """
+    rng = random.Random(2011)
+    noises = (PERFECT, NOISY, NoiseParams(0.97, 0.995))
+    chains = []
+    for _ in range(1500):
+        n = rng.randint(1, MAX_CHAIN_HOPS)
+        egrs = tuple(rng.choice((1, 2, 3, 5, 7, rng.randint(1, 64), rng.randint(1, 64)))
+                     for _ in range(n))
+        if rng.random() < 0.3:
+            fids = tuple(rng.choice((0.25, 0.5, 1.0, rng.uniform(0.25, 1.0),
+                                     rng.uniform(0.8, 1.0), rng.uniform(0.9, 1.0)))
+                         for _ in range(n))
+        else:  # distillable over many hops, so the threshold sweep runs
+            fids = tuple(rng.choice((1.0, rng.uniform(0.9, 1.0), rng.uniform(0.97, 1.0)))
+                         for _ in range(n))
+        noise = rng.choice(noises + (NoiseParams(rng.uniform(0.97, 1.0),
+                                                 rng.uniform(0.97, 1.0)),))
+        chains.append((Chain(egrs, fids, noise), rng.randint(1, 8), rng.random()))
+    bounds = []
+    for f_raw in (0.25, 0.5, 1.0, 0.91, 0.99) + tuple(rng.uniform(0.8, 1.0) for _ in range(5)):
+        for noise in noises:
+            for min_egr, max_egr in ((1, 1), (1, 64), (3, 7), (8, 32), (16, 16), (29, 40)):
+                bounds.append((f_raw, noise, min_egr, max_egr, rng.choice((7, 10))))
+    return chains, bounds, rng
+
+
+def test_optimizer_and_bound_outputs_match_their_pinned_digest():
+    # sha256 of the repr of every output: any changed float, plan or tie-break
+    # changes the digest.
+    chains, bounds, rng = _pinned_digest_inputs()
+    digest = hashlib.sha256()
+    for chain, max_k, cut in chains:
+        best = optimize_chain(chain, max_k=max_k)
+        digest.update(repr(best).encode())
+        d_best = best[1].d_total
+        for floor in (0.0, cut * 1.2 * d_best, d_best):
+            digest.update(repr(optimize_chain(chain, max_k=max_k, floor=floor)).encode())
+    for f_raw, noise, min_egr, max_egr, max_hops in bounds:
+        top = max(d_bound_by_hops(f_raw, noise, min_egr, max_egr, max_hops))
+        for floor in (None, 0.0, rng.uniform(0.0, 1.2) * top):
+            digest.update(repr(d_bound_by_hops(f_raw, noise, min_egr, max_egr, max_hops,
+                                               floor=floor)).encode())
+    assert digest.hexdigest() == (
+        "101664e4f4f6845dd9ebe64d955c8d592790fdbebda55d7d9b6fb6591178712b")
