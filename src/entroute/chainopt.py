@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .netgraph import Network
 from .purify import (MAX_CIRCUIT_K, _evaluate_cached, _rate, circuit_for, evaluate_circuit,
@@ -75,8 +76,8 @@ class PurificationPlan:
         for hops, k in self.segments:
             if not 1 <= hops <= MAX_SEGMENT_HOPS:
                 raise ValueError(f"segment length must be 1..{MAX_SEGMENT_HOPS}, got {hops}")
-            if not 1 <= k <= 8:
-                raise ValueError(f"segment circuit width must be 1..8, got {k}")
+            if not 1 <= k <= MAX_CIRCUIT_K:
+                raise ValueError(f"segment circuit width must be 1..{MAX_CIRCUIT_K}, got {k}")
 
     @property
     def n_hops(self) -> int:
@@ -123,19 +124,51 @@ def enumerate_segmentations(n_hops: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=4096)
-def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
-                   max_k: int) -> tuple[tuple[float, float, float], ...]:
-    """Per-k table for one segment: (output fidelity, its W value, rate).
+def _circuits(f_raw: float, p2: float, eta: float) -> tuple[tuple[float, float, int, float], ...]:
+    """Every standard circuit at ``f_raw`` as (W, f_out, -k, p_succ), k = 1 first.
 
-    Row k - 1 is the (f_out, p_succ) pair of width k from the one cached
-    fold of every standard circuit at ``f_raw`` (``purify._evaluate_cached``),
-    rated by ``purify._rate``; no circuit is looked up or evaluated per width.
+    Read from the one cached fold of all eight widths
+    (``purify._evaluate_cached``). Nothing here depends on an EGR, so every
+    segment table at this fidelity and noise shares the entry.
+    """
+    return tuple([(fidelity_to_w(f_out), f_out, -k, p_succ)
+                  for k, (f_out, p_succ) in enumerate(_evaluate_cached(f_raw, p2, eta), 1)])
+
+
+@lru_cache(maxsize=4096)
+def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
+                   max_k: int) -> tuple[tuple[float, float, int, float], ...]:
+    """Per-k rows for one segment, in the optimizer's form (W, f_out, -k, rate).
+
+    Row k - 1 is ``_circuits``' entry for width k, its p_succ rated at
+    ``min_egr`` by ``purify._rate``; no circuit is looked up or evaluated
+    per width.
     """
     check_fidelity(f_raw)
     if not 1 <= max_k <= MAX_CIRCUIT_K:
         raise ValueError(f"circuit width k must be in 1..{MAX_CIRCUIT_K}, got {max_k}")
-    return tuple([(f_out, fidelity_to_w(f_out), _rate(min_egr, k, p_succ))
-                  for k, (f_out, p_succ) in enumerate(_evaluate_cached(f_raw, p2, eta)[:max_k], 1)])
+    return tuple([(w, f_out, neg_k, _rate(min_egr, -neg_k, p_succ))
+                  for w, f_out, neg_k, p_succ in _circuits(f_raw, p2, eta)[:max_k]])
+
+
+@lru_cache(maxsize=4096)
+def _uniform_segments(f_raw: float, noise: NoiseParams, max_egr: int
+                      ) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+    """Every circuit on a segment of 1..MAX_SEGMENT_HOPS hops at ``f_raw``
+    each, for ``d_bound_by_hops``.
+
+    Returns the circuits as (hops, W * swap, k, p_succ), read from
+    ``_circuits``, and their bound rows rated at ``max_egr``, as (rate,
+    False, hops, W * swap). A search asks for one fidelity, noise and
+    maximum EGR many times, with a different minimum EGR each time.
+    """
+    swap = noise.swap_factor
+    circuits = tuple((hops, w * swap, -neg_k, p_succ)
+                     for hops in range(1, MAX_SEGMENT_HOPS + 1)
+                     for w, _, neg_k, p_succ in _circuits(
+                         swap_fidelity([f_raw] * hops, noise), noise.p2, noise.eta))
+    return circuits, tuple((_rate(max_egr, k, p_succ), False, hops, w_swap)
+                           for hops, w_swap, k, p_succ in circuits)
 
 
 def evaluate_plan(chain: Chain, plan: PurificationPlan) -> PlanEvaluation:
@@ -170,32 +203,36 @@ def evaluate_plan(chain: Chain, plan: PurificationPlan) -> PlanEvaluation:
     )
 
 
-def _cover(admitted: dict, states: list[dict], stale: int, swap: float) -> None:
+def _cover(admitted: list[dict], states: list[dict], stale: int, swap: float) -> None:
     """Rebuild the covers ending after hop ``stale`` from the ``admitted`` circuits.
 
-    ``admitted`` maps a slice (start, hops) to its circuit (w, f_out, -k,
-    rate). ``states[end][segs]`` is the best cover of hops [0, end) by segs
-    segments, as (W product, -k per segment, -length per segment, rate),
-    compared on the first three. W is multiplied left to right, as
-    swap_fidelity does; a full cover carries its end-to-end fidelity instead.
-    Covers ending at or before hop ``stale`` are kept as they are.
+    ``admitted[end]`` maps the length of a slice ending after hop ``end`` to
+    its circuit (w, f_out, -k, rate). ``states[end][segs]`` is the best cover
+    of hops [0, end) by segs segments, as (W product, -k per segment, -length
+    per segment, rate), compared on the first three. W is multiplied left to
+    right, as swap_fidelity does; a full cover carries its end-to-end
+    fidelity instead. Covers ending at or before hop ``stale`` are kept as
+    they are: a slice enters only the covers ending where it ends and after,
+    so a caller that changed one ending at ``end`` passes ``end - 1``. A
+    candidate's tuples are built only when its W product reaches the held
+    cover's; on an equal product the rest of the key decides.
     """
     n = len(states) - 1
     for end in range(stale + 1, n + 1):
         layer = {}
-        for hops in range(1, min(MAX_SEGMENT_HOPS, end) + 1):
-            row = admitted.get((end - hops, hops))
-            if row is None:
-                continue
-            w, f_out, neg_k, rate = row
+        for hops, (w, f_out, neg_k, rate) in admitted[end].items():
             for segs, (prod, neg_ks, neg_lens, low) in states[end - hops].items():
                 value = prod * w
                 if end == n:
                     value = f_out if segs == 0 else 0.25 + 0.75 * swap ** segs * value
-                state = (value, neg_ks + (neg_k,), neg_lens + (-hops,), min(low, rate))
                 held = layer.get(segs + 1)
-                if held is None or state[:3] > held[:3]:
-                    layer[segs + 1] = state
+                if held is not None:
+                    if value < held[0]:
+                        continue
+                    if value == held[0] and (neg_ks + (neg_k,), neg_lens + (-hops,)) <= held[1:3]:
+                        continue
+                layer[segs + 1] = (value, neg_ks + (neg_k,), neg_lens + (-hops,),
+                                   rate if rate < low else low)
         states[end] = layer
 
 
@@ -254,18 +291,17 @@ def optimize_chain(chain: Chain, max_k: int = 8, floor: float | None = None,
     noise = chain.noise
     swap = noise.swap_factor
     bar = -math.inf if floor is None else floor
-    # Every circuit (w, f_out, -k, rate) on every (start, hops) slice, and
-    # each slice's highest-W circuit.
-    rows = []
-    ceiling = {}
+    # Every slice's circuits (w, f_out, -k, rate), and its highest-W one, by
+    # the hop the slice ends after and its length.
+    tables = []
+    ceiling: list[dict] = [{} for _ in range(n + 1)]
     for start in range(n):
         for hops in range(1, min(MAX_SEGMENT_HOPS, n - start) + 1):
-            table = _segment_table(
+            circuits = _segment_table(
                 swap_fidelity(chain.fidelities[start:start + hops], noise),
                 min(chain.egrs[start:start + hops]), noise.p2, noise.eta, max_k)
-            circuits = [(w, f_out, -k, rate) for k, (f_out, w, rate) in enumerate(table, 1)]
-            rows.extend((circuit[3], start, hops, circuit) for circuit in circuits)
-            ceiling[start, hops] = max(circuits)
+            tables.append((start + hops, hops, circuits))
+            ceiling[start + hops][hops] = max(circuits)
     states: list[dict[int, tuple]] = [{0: (1.0, (), (), math.inf)}] + [{} for _ in range(n)]
     _cover(ceiling, states, 0, swap)
     f_ceiling = max(fid for fid, *_ in states[n].values())
@@ -274,24 +310,27 @@ def optimize_chain(chain: Chain, max_k: int = 8, floor: float | None = None,
         best, _ = _score(states[n], {}, bar, None)
     else:
         best = None
-        rows.sort(key=lambda row: row[0], reverse=True)
+        # A cover first found with bottleneck r has D <= r * d(F_c), so a
+        # circuit too slow to reach the floor never becomes a bottleneck.
+        reach = d_ceiling * _BOUND_SLACK
+        rows = [(circuit[3], end, hops, circuit) for end, hops, circuits in tables
+                for circuit in circuits if circuit[3] * reach >= bar]
+        rows.sort(key=itemgetter(0), reverse=True)
         # No plan is faster than the slowest hop's raw rate.
         top = min(chain.egrs)
-        admitted: dict[tuple[int, int], tuple] = {}
+        admitted: list[dict] = [{} for _ in range(n + 1)]
         states = [{0: (1.0, (), (), math.inf)}] + [{} for _ in range(n)]
         stale = 0  # covers ending after this hop are rebuilt on the next pass
-        # A cover first found with bottleneck r has D <= r * d(F_c).
-        reach = d_ceiling * _BOUND_SLACK
         i = 0
         while i < len(rows) and rows[i][0] * reach >= bar:
             threshold = rows[i][0]
             while i < len(rows) and rows[i][0] == threshold:
-                _, start, hops, circuit = rows[i]
+                _, end, hops, circuit = rows[i]
                 i += 1
-                held = admitted.get((start, hops))
+                held = admitted[end].get(hops)
                 if held is None or circuit > held:
-                    admitted[start, hops] = circuit
-                    stale = min(stale, start)
+                    admitted[end][hops] = circuit
+                    stale = min(stale, end - 1)
             if threshold > top or stale == n:
                 continue
             scored = states[n]  # full covers scored on the last pass
@@ -324,18 +363,12 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     at or above ``floor`` is exact, one below it only says "below floor".
     """
     swap = noise.swap_factor
-    # (rate, holds the minimum hop, hops, W * swap) for every segment circuit.
-    # Only the rate depends on EGR, so the min-EGR rows take W from the
-    # max-EGR table and p_succ from the same cached fold.
-    rows = []
-    for hops in range(1, MAX_SEGMENT_HOPS + 1):
-        f_seg = swap_fidelity([f_raw] * hops, noise)
-        table = _segment_table(f_seg, max_egr, noise.p2, noise.eta, MAX_CIRCUIT_K)
-        outcomes = _evaluate_cached(f_seg, noise.p2, noise.eta)
-        for k, ((_, w, rate), (_, p_succ)) in enumerate(zip(table, outcomes), 1):
-            low = _rate(min_egr, k, p_succ)
-            rows += [(low, True, hops, w * swap), (rate, False, hops, w * swap)]
-    rows.sort(key=lambda row: row[0], reverse=True)
+    # (rate, holds the minimum hop, hops, W * swap) for every segment circuit;
+    # only the rate depends on EGR.
+    circuits, rows = _uniform_segments(f_raw, noise, max_egr)
+    rows = [(_rate(min_egr, k, p_succ), True, hops, w_swap)
+            for hops, w_swap, k, p_succ in circuits] + list(rows)
+    rows.sort(key=itemgetter(0), reverse=True)
     bar = -math.inf if floor is None else floor / _BOUND_SLACK
     bound = [0.0] * (max_hops + 1)
     # The highest W * swap per segment length at least as fast as the
@@ -347,9 +380,10 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     # min-EGR segment, at the current threshold.
     without = [1.0] + [0.0] * max_hops
     with_min = [0.0] * (max_hops + 1)
-    i = 0
     # D <= r, so a threshold below every entry (or the floor) raises none.
-    while i < len(rows) and rows[i][0] * _BOUND_SLACK >= max(bar, min(bound[1:], default=0.0)):
+    stop = max(bar, 0.0)
+    i = 0
+    while i < len(rows) and rows[i][0] * _BOUND_SLACK >= stop:
         threshold = rows[i][0]
         while i < len(rows) and rows[i][0] == threshold:
             _, pinned, hops, w_swap = rows[i]
@@ -360,6 +394,7 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
         if threshold > min_egr:
             continue  # no segment holding the minimum hop is this fast
         reach = threshold * _BOUND_SLACK
+        raised = False
         for length in range(1, max_hops + 1):
             best_without = best_with = 0.0
             for hops in range(1, min(MAX_SEGMENT_HOPS, length) + 1):
@@ -367,7 +402,10 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
                 value = without[rest] * free[hops]
                 if value > best_without:
                     best_without = value
-                value = max(with_min[rest] * free[hops], without[rest] * held[hops])
+                value = with_min[rest] * free[hops]
+                pinned = without[rest] * held[hops]
+                if pinned > value:
+                    value = pinned
                 if value > best_with:
                     best_with = value
             without[length] = best_without
@@ -378,4 +416,7 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
                 if reach > bound[length]:
                     fid = min(1.0, 0.25 + 0.75 * best_with / swap)
                     bound[length] = max(bound[length], reach * distillable_per_pair(fid))
+                    raised = True
+        if raised:
+            stop = max(bar, min(bound[1:]))
     return tuple(bound)

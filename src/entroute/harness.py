@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError(f"chain_hops: must be 1..{MAX_CHAIN_HOPS}, got {self.chain_hops}")
         if self.chain_egr < 1:
             raise ConfigError(f"chain_egr: must be >= 1, got {self.chain_egr}")
+        if not self.topologies:
+            raise ConfigError("topologies: must be non-empty")
         for kind in self.topologies:
             if kind not in LATTICE_KINDS:
                 raise ConfigError(f"topologies: unknown lattice {kind!r}")
@@ -111,6 +113,9 @@ class ExperimentConfig:
         if not 1 <= self.cutoff <= MAX_CHAIN_HOPS:
             # A longer path has no purification plan to score.
             raise ConfigError(f"cutoff: must be 1..{MAX_CHAIN_HOPS}, got {self.cutoff}")
+        if self.kind == "route-compare" and not (self.cost_variants or self.include_exhaustive):
+            raise ConfigError(
+                "cost_variants: must be non-empty when include_exhaustive is false")
         for variant in self.cost_variants:
             if variant not in [c.value for c in LinkCost]:
                 raise ConfigError(f"cost_variants: unknown cost {variant!r}")

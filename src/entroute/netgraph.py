@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .werner import NoiseParams, PERFECT, check_fidelity
 
@@ -109,6 +110,9 @@ class Network:
             adj.setdefault(ch.v, set()).add(ch.u)
         self.nodes = tuple(sorted(adj))
         self._adj = {node: tuple(sorted(peers)) for node, peers in adj.items()}
+        # Read-only views, for searches that look up many edges per call.
+        self.adjacency = MappingProxyType(self._adj)
+        self.channel_map = MappingProxyType(self._channels)
 
     def __contains__(self, node) -> bool:
         return node in self._adj

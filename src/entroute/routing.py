@@ -134,7 +134,13 @@ def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP,
     sequence. Raises NoPathError when the destination is unreachable.
     """
     _check_endpoints(net, s, d)
+    adjacency, channels = net.adjacency, net.channel_map
+    weights = {}  # edge cost by EGR
     heap = [(0.0, 0, (s,))]
+    # The least total pushed per node. A label above it can never be the
+    # node's first pop, so it is not pushed; one that ties it still is, and
+    # the heap breaks the tie on hops and path.
+    pushed = {s: 0.0}
     done = set()
     while heap:
         total, hops, path = heappop(heap)
@@ -144,11 +150,21 @@ def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP,
         done.add(u)
         if u == d:
             return list(path)
-        for v in net.neighbors(u):
-            if v in done or _edge_key(u, v) in excluded:
+        for v in adjacency[u]:
+            if v in done:
                 continue
-            edge = cost.edge_cost(net.channel(u, v).egr)
-            heappush(heap, (total + edge, hops + 1, path + (v,)))
+            key = (u, v) if u < v else (v, u)
+            if key in excluded:
+                continue
+            egr = channels[key].egr
+            edge = weights.get(egr)
+            if edge is None:
+                edge = weights[egr] = cost.edge_cost(egr)
+            reached = total + edge
+            if reached > pushed.get(v, reached):
+                continue
+            pushed[v] = reached
+            heappush(heap, (reached, hops + 1, path + (v,)))
     raise NoPathError(f"no path from {s!r} to {d!r}")
 
 

@@ -334,7 +334,7 @@ def _public_segment_table(f_raw, min_egr, p2, eta, max_k):
         circuit = circuit_for(k)
         outcome = CircuitOutcome(*_fold(circuit.tree, f_raw, noise))
         rate = post_purification_rate(min_egr, circuit, outcome)
-        rows.append((outcome.f_out, fidelity_to_w(outcome.f_out), rate))
+        rows.append((fidelity_to_w(outcome.f_out), outcome.f_out, -k, rate))
     return tuple(rows)
 
 
@@ -347,7 +347,7 @@ def _d_bound_by_hops_from_tables(f_raw, noise, min_egr, max_egr, max_hops, floor
         f_seg = swap_fidelity([f_raw] * hops, noise)
         for pinned, egr in ((True, min_egr), (False, max_egr)):
             table = _public_segment_table(f_seg, egr, noise.p2, noise.eta, 8)
-            rows.extend((rate, pinned, hops, w * swap) for _, w, rate in table)
+            rows.extend((rate, pinned, hops, w * swap) for w, _, _, rate in table)
     rows.sort(key=lambda row: row[0], reverse=True)
     slack = chainopt._BOUND_SLACK
     bar = -math.inf if floor is None else floor / slack
@@ -504,10 +504,12 @@ def test_optimize_never_below_the_relaxation():
 
 
 def test_fidelity_keyed_caches_are_bounded():
-    caches = (chainopt._segment_table, purify._evaluate_cached)
+    caches = (chainopt._segment_table, chainopt._circuits, chainopt._uniform_segments,
+              purify._evaluate_cached)
     maxsize = max(cache.cache_info().maxsize for cache in caches)
     for i in range(maxsize + 100):
         chainopt._segment_table(0.9 + i * 1e-6, 16, 1.0, 1.0, 8)
+        chainopt._uniform_segments(0.9 + i * 1e-6, PERFECT, 16)
     for cache in caches:
         info = cache.cache_info()
         assert info.misses >= info.maxsize + 100

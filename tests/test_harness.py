@@ -293,6 +293,16 @@ def test_config_validation_messages():
     with pytest.raises(ConfigError, match="channel_fidelities"):
         ExperimentConfig.from_dict({"id": "x", "kind": "chain-sweep",
                                     "channel_fidelities": ["a"]})
+    # Either would run no cell and write an empty table.
+    with pytest.raises(ConfigError, match="topologies"):
+        _route_config(topologies=())
+    with pytest.raises(ConfigError, match="topologies"):
+        ExperimentConfig.from_dict({"id": "x", "kind": "multipath-compare", "topologies": []})
+    with pytest.raises(ConfigError, match="cost_variants"):
+        _route_config(cost_variants=(), include_exhaustive=False)
+    with pytest.raises(ConfigError, match="cost_variants"):
+        ExperimentConfig.from_dict({"id": "x", "kind": "route-compare", "cost_variants": [],
+                                    "include_exhaustive": False})
     for name, repeated in (("gate_fidelities", (1.0, 0.99, 1)),
                            ("channel_fidelities", (0.95, 0.95)),
                            ("topologies", ("square", "square")),
