@@ -572,10 +572,10 @@ def test_optimize_tie_breaks_are_deterministic():
 def _pinned_digest_inputs():
     """Seeded optimizer and bound inputs for the pinned output digest.
 
-    Chains of 1-10 hops with EGRs 1-64 (many below the widest k), most of
-    them distillable, the rest with purify fixed points and low fidelities, perfect and noisy gates, every
-    ``max_k`` and floors None, 0 and near the chain's own D; then the bound
-    on a grid of EGR pairs and floors.
+    Chains of 1-10 hops with EGRs 1-64 (many below the widest k); 70% draw
+    high fidelities, the rest purify fixed points and low ones; perfect and
+    noisy gates, every ``max_k``, and floors None, 0 and near the chain's
+    own D. Then the bound on a grid of EGR pairs and floors.
     """
     rng = random.Random(2011)
     noises = (PERFECT, NOISY, NoiseParams(0.97, 0.995))
