@@ -20,7 +20,7 @@ from .netgraph import Network
 from .purify import (MAX_CIRCUIT_K, _evaluate_cached, _rate, circuit_for, evaluate_circuit,
                      post_purification_rate)
 from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, distillable,
-                     distillable_per_pair, fidelity_to_w, swap_fidelity)
+                     distillable_per_pair, swap_fidelity)
 
 MAX_CHAIN_HOPS = 10
 MAX_SEGMENT_HOPS = 3
@@ -124,31 +124,18 @@ def enumerate_segmentations(n_hops: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=4096)
-def _circuits(f_raw: float, p2: float, eta: float) -> tuple[tuple[float, float, int, float], ...]:
-    """Every standard circuit at ``f_raw`` as (W, f_out, -k, p_succ), k = 1 first.
-
-    Read from the one cached fold of all eight widths
-    (``purify._evaluate_cached``). Nothing here depends on an EGR, so every
-    segment table at this fidelity and noise shares the entry.
-    """
-    return tuple([(fidelity_to_w(f_out), f_out, -k, p_succ)
-                  for k, (f_out, p_succ) in enumerate(_evaluate_cached(f_raw, p2, eta), 1)])
-
-
-@lru_cache(maxsize=4096)
 def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
                    max_k: int) -> tuple[tuple[float, float, int, float], ...]:
     """Per-k rows for one segment, in the optimizer's form (W, f_out, -k, rate).
 
-    Row k - 1 is ``_circuits``' entry for width k, its p_succ rated at
-    ``min_egr`` by ``purify._rate``; no circuit is looked up or evaluated
-    per width.
+    Row k - 1 is ``purify._evaluate_cached``'s row for width k, its p_succ
+    rated at ``min_egr`` by ``purify._rate``; no circuit is looked up or
+    evaluated per width.
     """
-    check_fidelity(f_raw)
     if not 1 <= max_k <= MAX_CIRCUIT_K:
         raise ValueError(f"circuit width k must be in 1..{MAX_CIRCUIT_K}, got {max_k}")
-    return tuple([(w, f_out, neg_k, _rate(min_egr, -neg_k, p_succ))
-                  for w, f_out, neg_k, p_succ in _circuits(f_raw, p2, eta)[:max_k]])
+    return tuple([(w, f_out, -k, _rate(min_egr, k, p_succ)) for k, (f_out, p_succ, w)
+                  in enumerate(_evaluate_cached(f_raw, p2, eta)[:max_k], 1)])
 
 
 @lru_cache(maxsize=4096)
@@ -158,15 +145,15 @@ def _uniform_segments(f_raw: float, noise: NoiseParams, max_egr: int
     each, for ``d_bound_by_hops``.
 
     Returns the circuits as (hops, W * swap, k, p_succ), read from
-    ``_circuits``, and their bound rows rated at ``max_egr``, as (rate,
-    False, hops, W * swap). A search asks for one fidelity, noise and
-    maximum EGR many times, with a different minimum EGR each time.
+    ``purify._evaluate_cached``, and their bound rows rated at ``max_egr``,
+    as (rate, False, hops, W * swap). A search asks for one fidelity, noise
+    and maximum EGR many times, with a different minimum EGR each time.
     """
     swap = noise.swap_factor
-    circuits = tuple((hops, w * swap, -neg_k, p_succ)
+    circuits = tuple((hops, w * swap, k, p_succ)
                      for hops in range(1, MAX_SEGMENT_HOPS + 1)
-                     for w, _, neg_k, p_succ in _circuits(
-                         swap_fidelity([f_raw] * hops, noise), noise.p2, noise.eta))
+                     for k, (_, p_succ, w) in enumerate(_evaluate_cached(
+                         swap_fidelity([f_raw] * hops, noise), noise.p2, noise.eta), 1))
     return circuits, tuple((_rate(max_egr, k, p_succ), False, hops, w_swap)
                            for hops, w_swap, k, p_succ in circuits)
 

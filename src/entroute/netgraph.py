@@ -61,6 +61,8 @@ class Channel:
             lo, hi = self.v, self.u
             object.__setattr__(self, "u", lo)
             object.__setattr__(self, "v", hi)
+        if isinstance(self.egr, bool) or not isinstance(self.egr, int):
+            raise ValueError(f"channel egr must be an integer, got {self.egr!r}")
         if self.egr < 1:
             raise ValueError(f"channel egr must be >= 1, got {self.egr}")
         check_fidelity(self.raw_fidelity)
@@ -95,10 +97,8 @@ class TopologySpec:
 class Network:
     """Immutable repeater network: nodes, channels, and the noise model."""
 
-    def __init__(self, channels, noise: NoiseParams = PERFECT, t_decoh: int = 1,
-                 seed: int | None = None):
+    def __init__(self, channels, noise: NoiseParams = PERFECT, seed: int | None = None):
         self.noise = noise
-        self.t_decoh = t_decoh
         self.seed = seed
         self._channels: dict[tuple[int, int], Channel] = {}
         adj: dict[int, set[int]] = {}
@@ -215,23 +215,31 @@ def network_to_json(net: Network) -> str:
             for ch in net.channels()
         ],
         "noise": {"p2": net.noise.p2, "eta": net.noise.eta},
-        "t_decoh": net.t_decoh,
         "seed": net.seed,
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _field(doc, name: str, where: str):
+    """``doc[name]``; a ValueError naming the field if ``doc`` has none."""
+    if not isinstance(doc, dict) or name not in doc:
+        raise ValueError(f"{where}: expected a JSON object with field {name!r}")
+    return doc[name]
+
+
 def network_from_json(text: str) -> Network:
+    """Load a ``network_to_json`` document; a malformed one raises ValueError.
+    Keys the format does not use, as the ``t_decoh`` of older files, are ignored."""
     doc = json.loads(text)
-    if doc.get("format") != NETWORK_FORMAT:
-        raise ValueError(f"unsupported network format {doc.get('format')!r}")
+    if _field(doc, "format", "network") != NETWORK_FORMAT:
+        raise ValueError(f"unsupported network format {doc['format']!r}")
     channels = [
-        Channel(ch["u"], ch["v"], ch["egr"], ch["raw_fidelity"])
-        for ch in doc["channels"]
+        Channel(*(_field(ch, name, "channel") for name in ("u", "v", "egr", "raw_fidelity")))
+        for ch in _field(doc, "channels", "network")
     ]
-    noise = NoiseParams(doc["noise"]["p2"], doc["noise"]["eta"])
-    return Network(channels, noise=noise, t_decoh=doc.get("t_decoh", 1),
-                   seed=doc.get("seed"))
+    noise = _field(doc, "noise", "network")
+    noise = NoiseParams(_field(noise, "p2", "noise"), _field(noise, "eta", "noise"))
+    return Network(channels, noise=noise, seed=doc.get("seed"))
 
 
 def save_network(net: Network, path) -> None:

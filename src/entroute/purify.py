@@ -7,11 +7,12 @@ below k is purified as a balanced recurrence tree and any remaining raw
 pairs pump the running output one at a time. k = 1 is the identity
 (no purification).
 
-All eight standard circuits share their subtrees, so they are evaluated
-together: a schedule of the 7 distinct purify steps, children first, is
-derived once from the trees, and one fold over it gives every width's
-(f_out, p_succ) pair at one input fidelity and noise. Those pairs are cached
-per (f_in, p2, eta).
+Every tree is evaluated by one fold over its step schedule: the distinct
+purify steps of the tree, children first. The eight standard circuits share
+their subtrees, so their schedule has 7 steps, and one fold gives every
+width's (f_out, p_succ, W) at one input fidelity and noise. This module owns
+the one cache of those rows, per (f_in, p2, eta); the chain optimizer reads
+it directly. A non-standard tree folds its own schedule, uncached.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .werner import PERFECT, NoiseParams, check_fidelity
+from .werner import PERFECT, NoiseParams, check_fidelity, fidelity_to_w
 
 MAX_CIRCUIT_K = 8
 
@@ -115,24 +116,13 @@ def purify_pair(f1: float, f2: float, noise: NoiseParams = PERFECT) -> CircuitOu
     return CircuitOutcome(f_out=f_out, p_succ=p_succ)
 
 
-def _evaluate_tree(tree, f_in: float, noise: NoiseParams) -> tuple[float, float]:
-    """(f_out, p_succ) of any combination tree with every leaf at ``f_in``."""
-    if tree is LEAF:
-        return f_in, 1.0
-    kept, consumed = tree
-    f_kept, p_kept = _evaluate_tree(kept, f_in, noise)
-    f_cons, p_cons = _evaluate_tree(consumed, f_in, noise)
-    step = purify_pair(f_kept, f_cons, noise)
-    return step.f_out, p_kept * p_cons * step.p_succ
-
-
-def _schedule() -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """The standard circuits as one step schedule over slots.
+def _schedule(trees) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """``trees`` as one step schedule over slots.
 
     Slot 0 holds the raw pair; step i reads the (kept, consumed) slots it
     names and writes slot i + 1. The steps are the distinct subtrees of
-    ``circuit_for(1..MAX_CIRCUIT_K)``, children first, so the eight trees
-    share theirs. Also returns each width's root slot, k = 1 first.
+    ``trees``, children first, so trees share theirs. Also returns each
+    tree's root slot, in order.
     """
     slots = {LEAF: 0}
     steps = []
@@ -144,32 +134,39 @@ def _schedule() -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
             slots[tree] = len(steps)
         return slots[tree]
 
-    roots = tuple(place(circuit_for(k).tree) for k in range(1, MAX_CIRCUIT_K + 1))
+    roots = tuple(place(tree) for tree in trees)
     return tuple(steps), roots
 
 
-_STEPS, _ROOTS = _schedule()
+_STEPS, _ROOTS = _schedule(circuit_for(k).tree for k in range(1, MAX_CIRCUIT_K + 1))
 
 
-@lru_cache(maxsize=4096)
-def _evaluate_cached(f_in: float, p2: float, eta: float) -> tuple[tuple[float, float], ...]:
-    """(f_out, p_succ) of every standard circuit, k = 1..MAX_CIRCUIT_K, at
-    input ``f_in``; entry k - 1 is k.
+def _fold(steps, roots, f_in: float, p2: float, eta: float
+          ) -> tuple[tuple[float, float, float], ...]:
+    """(f_out, p_succ, W) at each root of a ``_schedule``, every leaf at ``f_in``.
 
-    One fold over the step schedule: 7 purify steps, not the 28 of eight
-    separate trees. A subtree's success probability is p_kept * p_cons *
-    p_succ, in that order, so every float is the one a walk of its tree
-    gives.
+    A subtree's success probability is p_kept * p_cons * p_succ, in that
+    order, so every float is the one a walk of its tree gives.
     """
     NoiseParams(p2, eta)  # rejects an invalid p2 or eta
     g2, m_eq, m_x = _noise_terms(p2, eta)
     slots = [(f_in, 1.0)]
-    for kept, consumed in _STEPS:
+    for kept, consumed in steps:
         f_kept, p_kept = slots[kept]
         f_cons, p_cons = slots[consumed]
         f_out, p_succ = _step(f_kept, f_cons, g2, m_eq, m_x)
         slots.append((f_out, p_kept * p_cons * p_succ))
-    return tuple([slots[root] for root in _ROOTS])
+    return tuple([(f_out, p_succ, fidelity_to_w(f_out))
+                  for f_out, p_succ in (slots[root] for root in roots)])
+
+
+@lru_cache(maxsize=4096)
+def _evaluate_cached(f_in: float, p2: float, eta: float) -> tuple[tuple[float, float, float], ...]:
+    """Row k - 1 is (f_out, p_succ, W) of the standard width-k circuit at
+    input ``f_in``: one fold of the 7 shared steps, not the 28 of eight
+    separate trees. No EGR enters, so every segment at one fidelity and
+    noise reads the same entry."""
+    return _fold(_STEPS, _ROOTS, f_in, p2, eta)
 
 
 def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
@@ -177,15 +174,16 @@ def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
     """Fold the purify step over the circuit tree with all leaves at ``f_in``.
 
     The success probability is the product of every step's success
-    probability; k = 1 returns (f_in, 1). A standard circuit (``circuit_for``)
-    is read from the cached fold of all eight at this ``f_in`` and noise.
+    probability; k = 1 gives (f_in, 1). A standard circuit (``circuit_for``)
+    reads its row of the cached fold of all eight at this ``f_in`` and
+    noise; any other tree folds its own schedule with the same ``_fold``.
     """
     check_fidelity(f_in)
-    if circuit.tree is LEAF:
-        return CircuitOutcome(f_out=f_in, p_succ=1.0)
     if circuit == circuit_for(circuit.k):
-        return CircuitOutcome(*_evaluate_cached(f_in, noise.p2, noise.eta)[circuit.k - 1])
-    return CircuitOutcome(*_evaluate_tree(circuit.tree, f_in, noise))
+        f_out, p_succ, _ = _evaluate_cached(f_in, noise.p2, noise.eta)[circuit.k - 1]
+    else:
+        f_out, p_succ, _ = _fold(*_schedule((circuit.tree,)), f_in, noise.p2, noise.eta)[0]
+    return CircuitOutcome(f_out=f_out, p_succ=p_succ)
 
 
 def post_purification_rate(egr: int, circuit: PurificationCircuit,

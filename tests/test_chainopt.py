@@ -504,8 +504,7 @@ def test_optimize_never_below_the_relaxation():
 
 
 def test_fidelity_keyed_caches_are_bounded():
-    caches = (chainopt._segment_table, chainopt._circuits, chainopt._uniform_segments,
-              purify._evaluate_cached)
+    caches = (chainopt._segment_table, chainopt._uniform_segments, purify._evaluate_cached)
     maxsize = max(cache.cache_info().maxsize for cache in caches)
     for i in range(maxsize + 100):
         chainopt._segment_table(0.9 + i * 1e-6, 16, 1.0, 1.0, 8)

@@ -1,3 +1,4 @@
+import json
 from collections import deque
 from statistics import mean
 
@@ -150,6 +151,35 @@ def test_import_rejects_unknown_format():
         network_from_json('{"format": "something-else/9"}')
 
 
+def _doc(**changes):
+    doc = {"format": "entroute-network/1", "nodes": [0, 1],
+           "channels": [{"u": 0, "v": 1, "egr": 3, "raw_fidelity": 0.9}],
+           "noise": {"p2": 1.0, "eta": 1.0}, "seed": 4}
+    doc.update(changes)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+def test_import_ignores_the_old_t_decoh_key():
+    net = network_from_json(json.dumps(_doc(t_decoh=7)))
+    assert [(ch.key, ch.egr) for ch in net.channels()] == [((0, 1), 3)]
+    assert "t_decoh" not in network_to_json(net)
+    assert not hasattr(net, "t_decoh")
+
+
+@pytest.mark.parametrize("text, field", [
+    ("[]", "network"),
+    (json.dumps(_doc(channels=None)), "channels"),
+    (json.dumps(_doc(noise=None)), "noise"),
+    (json.dumps(_doc(noise={"p2": 1.0})), "eta"),
+    (json.dumps(_doc(channels=[{"u": 0, "v": 1, "raw_fidelity": 0.9}])), "egr"),
+    (json.dumps(_doc(channels=[{"u": 0, "v": 1, "egr": "3", "raw_fidelity": 0.9}])), "egr"),
+    (json.dumps(_doc(channels=[{"u": 0, "v": 1, "egr": 3.5, "raw_fidelity": 0.9}])), "egr"),
+])
+def test_import_rejects_malformed_documents_naming_the_field(text, field):
+    with pytest.raises(ValueError, match=field):
+        network_from_json(text)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         TopologySpec("octagonal", (5, 9), 8, 32, 0.99, seed=1)
@@ -161,6 +191,9 @@ def test_spec_validation():
         Channel(2, 2, 10, 0.9)
     with pytest.raises(ValueError):
         Channel(0, 1, 0, 0.9)
+    for egr in ("3", 3.5, 3.0, True):
+        with pytest.raises(ValueError, match="egr"):
+            Channel(0, 1, egr, 0.9)
 
 
 def test_channel_endpoints_canonicalized():

@@ -195,7 +195,7 @@ def test_checks_and_non_standard_trees_survive_the_fold():
         with pytest.raises(ValueError):
             evaluate_circuit(circuit_for(8), bad, NOISY)
     # Pumping first, and a kept raw pair against a purified one: neither is
-    # a standard circuit, so both take the tree walk.
+    # a standard circuit, so both fold their own step schedule.
     for tree in ((((LEAF, LEAF), LEAF), LEAF), (LEAF, (LEAF, LEAF))):
         circuit = PurificationCircuit(k=_leaves(tree), tree=tree)
         assert circuit != circuit_for(circuit.k)
