@@ -401,6 +401,40 @@ def test_d_bound_by_hops_equals_the_per_egr_table_build():
                         assert d_bound_by_hops(*args) == _d_bound_by_hops_from_tables(*args)
 
 
+def _floor_at_stop(rate):
+    """A floor whose ``floor / _BOUND_SLACK`` is exactly ``rate * _BOUND_SLACK``."""
+    slack = chainopt._BOUND_SLACK
+    target = rate * slack
+    floor = target * slack
+    for _ in range(64):
+        if floor / slack == target:
+            return floor
+        floor = math.nextafter(floor, math.inf if floor / slack < target else -math.inf)
+    raise AssertionError(f"no floor puts the stop at {rate!r} * slack")
+
+
+def test_d_bound_by_hops_reads_the_row_at_its_stop_exactly():
+    # With the floor the stop, a row whose rate * slack equals it is still
+    # read: the sweep's test is >=, and a row filter must keep that row too.
+    # 8.0 is the k = 1 min-EGR row, the first one the sweep rates; 7.71...
+    # is a later one that raises entries 5..7.
+    circuits, rows = chainopt._uniform_segments(0.99, PERFECT, 32)
+    rates = {rate for rate, *_ in rows} | {purify._rate(8, k, p_succ)
+                                                for _, _, k, p_succ in circuits}
+    pinned = {
+        8.0: (0.0, 7.226857920001875, 6.8774788144603285, 6.554209422012981,
+              6.250365623162108, 5.962110005826374, 5.686935409546755, 5.423067751489296),
+        7.719870770919066: (0.0, 7.226857920001875, 6.8774788144603285, 6.554209422012981,
+                            6.250365623162108, 5.971588839239393, 5.749530650089102,
+                            5.535577012435353),
+    }
+    for rate, bound in pinned.items():
+        assert rate in rates
+        floor = _floor_at_stop(rate)
+        assert rate * chainopt._BOUND_SLACK == floor / chainopt._BOUND_SLACK
+        assert d_bound_by_hops(0.99, PERFECT, 8, 32, 7, floor=floor) == bound
+
+
 def test_segment_tables_and_bound_equal_the_public_fold_bit_for_bit():
     rng = random.Random(23)
     fidelities = [0.25, 0.5, 1.0] + [rng.uniform(0.25, 1.0) for _ in range(12)]

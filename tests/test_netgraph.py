@@ -1,10 +1,11 @@
+import hashlib
 import json
 from collections import deque
 from statistics import mean
 
 import pytest
 
-from entroute.netgraph import (Channel, Network, TopologySpec, default_extent,
+from entroute.netgraph import (LATTICE_KINDS, Channel, Network, TopologySpec, default_extent,
                                endpoints_for_separation, generate_network,
                                network_from_json, network_to_json, repeater_egr,
                                scaled_egr_range)
@@ -82,6 +83,22 @@ def test_generation_is_deterministic():
     other = network_to_json(generate_network(
         TopologySpec("hexagonal", (5, 9), 8, 32, 0.91, seed=124)))
     assert other != a
+
+
+def test_generated_networks_match_their_pinned_digest():
+    # sha256 of network_to_json over every lattice kind, two extents, the
+    # configs' two kinds of EGR range and five seeds: a changed draw, channel
+    # order, node set or field changes it.
+    digest = hashlib.sha256()
+    for kind in LATTICE_KINDS:
+        for extent in ((3, 4), (5, 9)):
+            for lo, hi in ((8, 32), scaled_egr_range(kind, 16, 128)):
+                for seed in (0, 1, 7, 123, 2**63 + 5):
+                    spec = TopologySpec(kind, extent, lo, hi, 0.91, seed)
+                    digest.update(network_to_json(
+                        generate_network(spec, NoiseParams(0.99, 0.98))).encode())
+    assert digest.hexdigest() == (
+        "1a0a008f93c01429c2e662f396a05b6295a46737b4f8e0f26961fddcc4bc2a1c")
 
 
 def test_repeater_egr_sums_incident_channels():
