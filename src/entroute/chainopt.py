@@ -55,13 +55,12 @@ class Chain:
 
 
 def chain_from_path(net: Network, path) -> Chain:
-    """The chain induced by walking ``path`` through ``net``."""
-    channels = [net.channel(u, v) for u, v in zip(path, path[1:])]
-    return Chain(
-        egrs=tuple(ch.egr for ch in channels),
-        fidelities=tuple(ch.raw_fidelity for ch in channels),
-        noise=net.noise,
-    )
+    """The chain induced by walking ``path`` through ``net``'s link table."""
+    links = net.links
+    hops = [links[(u, v) if u < v else (v, u)] for u, v in zip(path, path[1:])]
+    return Chain(egrs=tuple([egr for egr, _ in hops]),
+                 fidelities=tuple([raw_fidelity for _, raw_fidelity in hops]),
+                 noise=net.noise)
 
 
 @dataclass(frozen=True)
@@ -276,19 +275,29 @@ def optimize_chain(chain: Chain, max_k: int = 8, floor: float | None = None,
         raise ValueError(
             f"chain has {n} hops; optimizer handles at most {MAX_CHAIN_HOPS}")
     noise = chain.noise
-    swap = noise.swap_factor
+    p2, eta, swap = noise.p2, noise.eta, noise.swap_factor
     bar = -math.inf if floor is None else floor
     # Every slice's circuits (w, f_out, -k, rate), and its highest-W one, by
-    # the hop the slice ends after and its length.
+    # the hop the slice ends after and its length. A slice's raw fidelity and
+    # minimum EGR grow hop by hop from its start: its W product is taken left
+    # to right and scaled by the swap factor's power, as swap_fidelity does,
+    # so every fidelity is swap_fidelity's to the bit; a one-hop slice keeps
+    # its hop's own fidelity.
+    fids, egrs = chain.fidelities, chain.egrs
+    ws = [(4.0 * f - 1.0) / 3.0 for f in fids]  # fidelity_to_w of each hop
+    scales = [0.75 * swap ** joins for joins in range(MAX_SEGMENT_HOPS)]
     tables = []
     ceiling: list[dict] = [{} for _ in range(n + 1)]
     for start in range(n):
-        for hops in range(1, min(MAX_SEGMENT_HOPS, n - start) + 1):
-            circuits = _segment_table(
-                swap_fidelity(chain.fidelities[start:start + hops], noise),
-                min(chain.egrs[start:start + hops]), noise.p2, noise.eta, max_k)
-            tables.append((start + hops, hops, circuits))
-            ceiling[start + hops][hops] = max(circuits)
+        w, min_egr = 1.0, egrs[start]
+        for end in range(start + 1, min(start + MAX_SEGMENT_HOPS, n) + 1):
+            w *= ws[end - 1]
+            if egrs[end - 1] < min_egr:
+                min_egr = egrs[end - 1]
+            f_raw = fids[start] if end == start + 1 else 0.25 + scales[end - start - 1] * w
+            circuits = _segment_table(f_raw, min_egr, p2, eta, max_k)
+            tables.append((end, end - start, circuits))
+            ceiling[end][end - start] = max(circuits)
     states: list[dict[int, tuple]] = [{0: (1.0, (), (), math.inf)}] + [{} for _ in range(n)]
     _cover(ceiling, states, 0, swap)
     f_ceiling = max(fid for fid, *_ in states[n].values())
@@ -350,13 +359,17 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     at or above ``floor`` is exact, one below it only says "below floor".
     """
     swap = noise.swap_factor
-    # (rate, holds the minimum hop, hops, W * swap) for every segment circuit;
-    # only the rate depends on EGR.
-    circuits, rows = _uniform_segments(f_raw, noise, max_egr)
-    rows = [(_rate(min_egr, k, p_succ), True, hops, w_swap)
-            for hops, w_swap, k, p_succ in circuits] + list(rows)
-    rows.sort(key=itemgetter(0), reverse=True)
     bar = -math.inf if floor is None else floor / _BOUND_SLACK
+    # D <= r, so a threshold below every entry (or the floor) raises none.
+    stop = max(bar, 0.0)
+    # (rate, holds the minimum hop, hops, W * swap) for every segment circuit;
+    # only the rate depends on EGR. The stop only rises, so a row failing the
+    # sweep's stop test now is never read and is not built.
+    circuits, free_rows = _uniform_segments(f_raw, noise, max_egr)
+    rows = [(rate, True, hops, w_swap) for hops, w_swap, k, p_succ in circuits
+            if (rate := _rate(min_egr, k, p_succ)) * _BOUND_SLACK >= stop]
+    rows += [row for row in free_rows if row[0] * _BOUND_SLACK >= stop]
+    rows.sort(key=itemgetter(0), reverse=True)
     bound = [0.0] * (max_hops + 1)
     # The highest W * swap per segment length at least as fast as the
     # current threshold, for segments rated at max_egr (free) and at min_egr
@@ -367,8 +380,6 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     # min-EGR segment, at the current threshold.
     without = [1.0] + [0.0] * max_hops
     with_min = [0.0] * (max_hops + 1)
-    # D <= r, so a threshold below every entry (or the floor) raises none.
-    stop = max(bar, 0.0)
     i = 0
     while i < len(rows) and rows[i][0] * _BOUND_SLACK >= stop:
         threshold = rows[i][0]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .werner import NoiseParams, PERFECT, check_fidelity
 
@@ -33,16 +32,6 @@ def splitmix64(seed: int):
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         yield z ^ (z >> 31)
-
-
-def _uniform_int(stream, lo: int, hi: int) -> int:
-    """Unbiased uniform draw from the integer range [lo, hi]."""
-    span = hi - lo + 1
-    limit = ((1 << 64) // span) * span
-    while True:
-        value = next(stream)
-        if value < limit:
-            return lo + value % span
 
 
 @dataclass(frozen=True)
@@ -89,46 +78,69 @@ class TopologySpec:
         rows, cols = self.extent
         if rows * cols < 2:
             raise ValueError(f"extent {self.extent} has fewer than 2 nodes")
+        for egr in (self.egr_min, self.egr_max):
+            if isinstance(egr, bool) or not isinstance(egr, int):
+                raise ValueError(f"egr range bounds must be integers, got {egr!r}")
         if not 1 <= self.egr_min <= self.egr_max:
             raise ValueError(f"invalid egr range [{self.egr_min}, {self.egr_max}]")
         check_fidelity(self.raw_fidelity)
 
 
 class Network:
-    """Immutable repeater network: nodes, channels, and the noise model."""
+    """Immutable repeater network: two flat link tables and the noise model.
+
+    ``links`` maps each channel's endpoints (u, v), u < v, to its
+    (egr, raw_fidelity), in ascending key order. ``peers`` maps each node to
+    its ((peer, egr), ...) in ascending peer order. Searches read the two
+    tables directly, and neither may be mutated. ``Channel`` objects are made
+    only at the API: the constructor validates through them, and
+    ``channel()`` and ``channels()`` build them on request.
+    """
 
     def __init__(self, channels, noise: NoiseParams = PERFECT, seed: int | None = None):
+        links: dict[tuple[int, int], tuple[int, float]] = {}
+        for ch in channels:
+            if ch.key in links:
+                raise ValueError(f"duplicate channel {ch.key}")
+            links[ch.key] = (ch.egr, ch.raw_fidelity)
+        self._fill(dict(sorted(links.items())), noise, seed)
+
+    @classmethod
+    def _from_links(cls, links: dict, noise: NoiseParams, seed: int | None) -> Network:
+        """A network on ``links``, already valid and in ascending key order."""
+        net = cls.__new__(cls)
+        net._fill(links, noise, seed)
+        return net
+
+    def _fill(self, links: dict, noise: NoiseParams, seed: int | None) -> None:
         self.noise = noise
         self.seed = seed
-        self._channels: dict[tuple[int, int], Channel] = {}
-        adj: dict[int, set[int]] = {}
-        for ch in channels:
-            if ch.key in self._channels:
-                raise ValueError(f"duplicate channel {ch.key}")
-            self._channels[ch.key] = ch
-            adj.setdefault(ch.u, set()).add(ch.v)
-            adj.setdefault(ch.v, set()).add(ch.u)
-        self.nodes = tuple(sorted(adj))
-        self._adj = {node: tuple(sorted(peers)) for node, peers in adj.items()}
-        # Read-only views, for searches that look up many edges per call.
-        self.adjacency = MappingProxyType(self._adj)
-        self.channel_map = MappingProxyType(self._channels)
+        self.links = links
+        # Walking the keys in ascending order appends each node's lower peers
+        # (keys (w, x), w < x) before its higher ones (keys (x, v)), each in
+        # ascending order, so no node's peers need a sort.
+        peers: dict[int, list] = {}
+        for (u, v), (egr, _) in links.items():
+            peers.setdefault(u, []).append((v, egr))
+            peers.setdefault(v, []).append((u, egr))
+        self.nodes = tuple(sorted(peers))
+        self.peers = {node: tuple(peers[node]) for node in self.nodes}
 
     def __contains__(self, node) -> bool:
-        return node in self._adj
+        return node in self.peers
 
     def neighbors(self, node) -> tuple[int, ...]:
-        return self._adj[node]
+        return tuple([peer for peer, _ in self.peers[node]])
 
     def channel(self, u, v) -> Channel:
-        return self._channels[(u, v) if u < v else (v, u)]
+        key = (u, v) if u < v else (v, u)
+        return Channel(*key, *self.links[key])
 
     def channels(self) -> list[Channel]:
-        return [self._channels[key] for key in sorted(self._channels)]
+        return [Channel(u, v, egr, f) for (u, v), (egr, f) in self.links.items()]
 
     def mean_channel_egr(self) -> float:
-        chans = self._channels
-        return sum(ch.egr for ch in chans.values()) / len(chans)
+        return sum(egr for egr, _ in self.links.values()) / len(self.links)
 
 
 def _lattice_edges(kind: str, rows: int, cols: int) -> list[tuple[int, int]]:
@@ -153,23 +165,29 @@ def generate_network(spec: TopologySpec, noise: NoiseParams = PERFECT) -> Networ
 
     Channel EGRs are drawn independently and uniformly from the integer
     range [egr_min, egr_max] using a splitmix64 stream seeded from
-    spec.seed, visiting channels in canonical (sorted endpoint) order.
+    spec.seed, visiting channels in canonical (sorted endpoint) order; a
+    draw at or above the largest multiple of the range's size below 2**64 is
+    rejected, so no EGR is favoured. The draws fill ``Network.links``
+    directly: the spec has validated the range and the fidelity.
     """
     rows, cols = spec.extent
-    edges = _lattice_edges(spec.kind, rows, cols)
+    low, span = spec.egr_min, spec.egr_max - spec.egr_min + 1
+    limit = ((1 << 64) // span) * span
     stream = splitmix64(spec.seed)
-    channels = [
-        Channel(u, v, _uniform_int(stream, spec.egr_min, spec.egr_max), spec.raw_fidelity)
-        for u, v in edges
-    ]
-    return Network(channels, noise=noise, seed=spec.seed)
+    links = {}
+    for key in _lattice_edges(spec.kind, rows, cols):
+        value = next(stream)
+        while value >= limit:
+            value = next(stream)
+        links[key] = (low + value % span, spec.raw_fidelity)
+    return Network._from_links(links, noise, spec.seed)
 
 
 def repeater_egr(net: Network, node) -> int:
     """Sum of raw EGR over the channels incident to ``node``."""
     if node not in net:
         raise KeyError(f"node {node!r} not in network")
-    return sum(net.channel(node, peer).egr for peer in net.neighbors(node))
+    return sum(egr for _, egr in net.peers[node])
 
 
 def default_extent(hops: int) -> tuple[int, int]:
@@ -211,8 +229,8 @@ def network_to_json(net: Network) -> str:
         "format": NETWORK_FORMAT,
         "nodes": list(net.nodes),
         "channels": [
-            {"u": ch.u, "v": ch.v, "egr": ch.egr, "raw_fidelity": ch.raw_fidelity}
-            for ch in net.channels()
+            {"u": u, "v": v, "egr": egr, "raw_fidelity": raw_fidelity}
+            for (u, v), (egr, raw_fidelity) in net.links.items()
         ],
         "noise": {"p2": net.noise.p2, "eta": net.noise.eta},
         "seed": net.seed,
@@ -220,25 +238,38 @@ def network_to_json(net: Network) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _field(doc, name: str, where: str):
-    """``doc[name]``; a ValueError naming the field if ``doc`` has none."""
+_JSON_TYPES = {"integer": int, "number": (int, float), "list": list}
+
+
+def _field(doc, name: str, where: str, kind: str | None = None):
+    """``doc[name]``; a ValueError naming the field if ``doc`` has none, or if
+    ``kind`` ("integer", "number" or "list") is given and the value is not
+    one. A JSON true or false is not a number."""
     if not isinstance(doc, dict) or name not in doc:
         raise ValueError(f"{where}: expected a JSON object with field {name!r}")
-    return doc[name]
+    value = doc[name]
+    if kind is not None and (isinstance(value, bool)
+                             or not isinstance(value, _JSON_TYPES[kind])):
+        raise ValueError(f"{where}: field {name!r} must be a JSON {kind}, got {value!r}")
+    return value
+
+
+_CHANNEL_FIELDS = (("u", "integer"), ("v", "integer"), ("egr", "integer"),
+                   ("raw_fidelity", "number"))
 
 
 def network_from_json(text: str) -> Network:
-    """Load a ``network_to_json`` document; a malformed one raises ValueError.
-    Keys the format does not use, as the ``t_decoh`` of older files, are ignored."""
+    """Load a ``network_to_json`` document; a malformed one raises ValueError
+    naming the field. Keys the format does not use, as the ``t_decoh`` of
+    older files, are ignored."""
     doc = json.loads(text)
     if _field(doc, "format", "network") != NETWORK_FORMAT:
         raise ValueError(f"unsupported network format {doc['format']!r}")
-    channels = [
-        Channel(*(_field(ch, name, "channel") for name in ("u", "v", "egr", "raw_fidelity")))
-        for ch in _field(doc, "channels", "network")
-    ]
+    channels = [Channel(*(_field(ch, name, "channel", kind) for name, kind in _CHANNEL_FIELDS))
+                for ch in _field(doc, "channels", "network", "list")]
     noise = _field(doc, "noise", "network")
-    noise = NoiseParams(_field(noise, "p2", "noise"), _field(noise, "eta", "noise"))
+    noise = NoiseParams(_field(noise, "p2", "noise", "number"),
+                        _field(noise, "eta", "noise", "number"))
     return Network(channels, noise=noise, seed=doc.get("seed"))
 
 

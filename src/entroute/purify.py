@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .werner import PERFECT, NoiseParams, check_fidelity, fidelity_to_w
+from .werner import F_MIN, PERFECT, NoiseParams, check_fidelity
 
 MAX_CIRCUIT_K = 8
 
@@ -88,9 +88,11 @@ def _noise_terms(p2: float, eta: float) -> tuple[float, float, float]:
 
 
 def _step(f1: float, f2: float, g2: float, m_eq: float, m_x: float) -> tuple[float, float]:
-    """(f_out, p_succ) of one purify step, the noise given as ``_noise_terms``."""
-    check_fidelity(f1)
-    check_fidelity(f2)
+    """(f_out, p_succ) of one purify step, the noise given as ``_noise_terms``.
+    An operand outside [1/4, 1] raises check_fidelity's ValueError."""
+    if not (F_MIN <= f1 <= 1.0 and F_MIN <= f2 <= 1.0):
+        check_fidelity(f1)
+        check_fidelity(f2)
     a1 = (1.0 - f1) / 3.0
     a2 = (1.0 - f2) / 3.0
     # True-coincidence probability and the phi+ weights of the kept pair in
@@ -146,7 +148,9 @@ def _fold(steps, roots, f_in: float, p2: float, eta: float
     """(f_out, p_succ, W) at each root of a ``_schedule``, every leaf at ``f_in``.
 
     A subtree's success probability is p_kept * p_cons * p_succ, in that
-    order, so every float is the one a walk of its tree gives.
+    order, so every float is the one a walk of its tree gives. W is
+    fidelity_to_w's (4F - 1) / 3, checked by check_fidelity only when F
+    falls outside [1/4, 1].
     """
     NoiseParams(p2, eta)  # rejects an invalid p2 or eta
     g2, m_eq, m_x = _noise_terms(p2, eta)
@@ -156,8 +160,13 @@ def _fold(steps, roots, f_in: float, p2: float, eta: float
         f_cons, p_cons = slots[consumed]
         f_out, p_succ = _step(f_kept, f_cons, g2, m_eq, m_x)
         slots.append((f_out, p_kept * p_cons * p_succ))
-    return tuple([(f_out, p_succ, fidelity_to_w(f_out))
-                  for f_out, p_succ in (slots[root] for root in roots)])
+    rows = []
+    for root in roots:
+        f_out, p_succ = slots[root]
+        if not F_MIN <= f_out <= 1.0:
+            check_fidelity(f_out)
+        rows.append((f_out, p_succ, (4.0 * f_out - 1.0) / 3.0))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=4096)

@@ -69,15 +69,16 @@ def _edge_key(u, v):
 
 def _bfs_hops(net: Network, target) -> dict:
     """Hop distance from every reachable node to ``target``."""
+    peers = net.peers
     dist = {target: 0}
     queue = deque([target])
     while queue:
         u = queue.popleft()
-        for v in net.neighbors(u):
-            if v in dist:
-                continue
-            dist[v] = dist[u] + 1
-            queue.append(v)
+        hops = dist[u] + 1
+        for v, _ in peers[u]:
+            if v not in dist:
+                dist[v] = hops
+                queue.append(v)
     return dist
 
 
@@ -87,18 +88,21 @@ def _iter_simple_paths(net: Network, s, d, cutoff: int, prune=None):
 
     ``prune(hops_used, hops_to_go, min_egr)`` may cut subtrees that provably
     cannot contain a useful path; distance-based pruning is always applied.
+    The walk reads each node's (peer, EGR) pairs from ``net.peers`` and each
+    peer's hop distance to d from one BFS; every peer of a node d reaches
+    is in that BFS too.
     """
     dist = _bfs_hops(net, d)
     if dist.get(s, cutoff + 1) > cutoff:
         return
-    # Per node, each step as (neighbor, its hops to d, channel EGR).
-    steps = {u: [(v, dist[v], net.channel(u, v).egr) for v in net.neighbors(u)] for u in dist}
+    peers = net.peers
     path = [s]
     visited = {s}
 
     def walk(u, hops_used, min_egr):
         hops_used += 1
-        for v, to_go, egr in steps[u]:
+        for v, egr in peers[u]:
+            to_go = dist[v]
             if v in visited or hops_used + to_go > cutoff:
                 continue
             new_min = egr if egr < min_egr else min_egr
@@ -131,10 +135,12 @@ def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP,
     """Minimum-total-cost path under the chosen link cost.
 
     Ties break toward fewer hops, then the lexicographically smallest node
-    sequence. Raises NoPathError when the destination is unreachable.
+    sequence. Raises NoPathError when the destination is unreachable. Each
+    relaxation reads the (peer, EGR) pairs of ``net.peers``; a channel's
+    (u, v) key is built only to test it against a non-empty ``excluded``.
     """
     _check_endpoints(net, s, d)
-    adjacency, channels = net.adjacency, net.channel_map
+    peers = net.peers
     weights = {}  # edge cost by EGR
     heap = [(0.0, 0, (s,))]
     # The least total pushed per node. A label above it can never be the
@@ -150,13 +156,11 @@ def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP,
         done.add(u)
         if u == d:
             return list(path)
-        for v in adjacency[u]:
+        for v, egr in peers[u]:
             if v in done:
                 continue
-            key = (u, v) if u < v else (v, u)
-            if key in excluded:
+            if excluded and ((u, v) if u < v else (v, u)) in excluded:
                 continue
-            egr = channels[key].egr
             edge = weights.get(egr)
             if edge is None:
                 edge = weights[egr] = cost.edge_cost(egr)
@@ -219,10 +223,10 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
             seeds = weighted_routes(net, s, d)
         except NoPathError:
             seeds = {}
-    channels = net.channels()
-    fidelities = {ch.raw_fidelity for ch in channels}
+    links = net.links.values()
+    fidelities = {raw_fidelity for _, raw_fidelity in links}
     f_raw = fidelities.pop() if len(fidelities) == 1 else None
-    top = max(ch.egr for ch in channels)
+    top = max(egr for egr, _ in links)
     # min EGR -> (its bound by hop count, the bound's suffix maxima)
     bounds: dict[int, tuple[tuple[float, ...], list[float]]] = {}
 

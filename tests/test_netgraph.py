@@ -101,6 +101,20 @@ def test_generated_networks_match_their_pinned_digest():
         "1a0a008f93c01429c2e662f396a05b6295a46737b4f8e0f26961fddcc4bc2a1c")
 
 
+def test_generated_network_equals_one_built_from_its_channels():
+    for kind in LATTICE_KINDS:
+        net = generate_network(TopologySpec(kind, (4, 6), 3, 21, 0.93, seed=11),
+                               NoiseParams(0.99, 0.98))
+        again = Network(reversed(net.channels()), net.noise, net.seed)
+        assert again.nodes == net.nodes
+        assert list(again.links.items()) == list(net.links.items())
+        assert again.peers == net.peers
+        for node in net.nodes:
+            assert again.neighbors(node) == net.neighbors(node)
+            assert list(net.neighbors(node)) == sorted(net.neighbors(node))
+        assert again.channels() == net.channels()
+
+
 def test_repeater_egr_sums_incident_channels():
     net = Network([Channel(0, 1, 10, 0.9), Channel(0, 2, 6, 0.9)])
     assert repeater_egr(net, 0) == 16
@@ -191,6 +205,14 @@ def test_import_ignores_the_old_t_decoh_key():
     (json.dumps(_doc(channels=[{"u": 0, "v": 1, "raw_fidelity": 0.9}])), "egr"),
     (json.dumps(_doc(channels=[{"u": 0, "v": 1, "egr": "3", "raw_fidelity": 0.9}])), "egr"),
     (json.dumps(_doc(channels=[{"u": 0, "v": 1, "egr": 3.5, "raw_fidelity": 0.9}])), "egr"),
+    (json.dumps(_doc(channels=[{"u": 0, "v": 1, "egr": 3, "raw_fidelity": "0.9"}])),
+     "raw_fidelity"),
+    (json.dumps(_doc(channels=[{"u": 0, "v": 1, "egr": 3, "raw_fidelity": True}])),
+     "raw_fidelity"),
+    (json.dumps(_doc(channels=[{"u": "a", "v": 1, "egr": 3, "raw_fidelity": 0.9}])), "u"),
+    (json.dumps(_doc(channels=[{"u": 0.0, "v": 1, "egr": 3, "raw_fidelity": 0.9}])), "u"),
+    (json.dumps(_doc(noise={"p2": "1", "eta": 1.0})), "p2"),
+    (json.dumps({**_doc(), "channels": None}), "channels"),
 ])
 def test_import_rejects_malformed_documents_naming_the_field(text, field):
     with pytest.raises(ValueError, match=field):
@@ -204,6 +226,11 @@ def test_spec_validation():
         TopologySpec("square", (1, 1), 8, 32, 0.99, seed=1)
     with pytest.raises(ValueError):
         TopologySpec("square", (3, 3), 9, 8, 0.99, seed=1)
+    # The generator fills the link table from the spec, so the spec's EGR
+    # bounds must be integers.
+    for lo, hi in ((8.0, 32), (8, 32.5), (True, 32)):
+        with pytest.raises(ValueError, match="integers"):
+            TopologySpec("square", (3, 3), lo, hi, 0.99, seed=1)
     with pytest.raises(ValueError):
         Channel(2, 2, 10, 0.9)
     with pytest.raises(ValueError):
