@@ -212,8 +212,8 @@ def test_import_ignores_the_old_t_decoh_key():
      "raw_fidelity"),
     (json.dumps(_doc(channels=[{"u": 0, "v": 1, "egr": 3, "raw_fidelity": True}])),
      "raw_fidelity"),
-    (json.dumps(_doc(channels=[{"u": "a", "v": 1, "egr": 3, "raw_fidelity": 0.9}])), "u"),
-    (json.dumps(_doc(channels=[{"u": 0.0, "v": 1, "egr": 3, "raw_fidelity": 0.9}])), "u"),
+    (json.dumps(_doc(channels=[{"u": "a", "v": 1, "egr": 3, "raw_fidelity": 0.9}])), "'u'"),
+    (json.dumps(_doc(channels=[{"u": 0.0, "v": 1, "egr": 3, "raw_fidelity": 0.9}])), "'u'"),
     (json.dumps(_doc(noise={"p2": "1", "eta": 1.0})), "p2"),
     (json.dumps({**_doc(), "channels": None}), "channels"),
 ])
