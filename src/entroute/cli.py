@@ -9,10 +9,11 @@ each error is one line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .harness import (ConfigError, ExperimentConfig, build_metadata,
-                      run_experiment, with_seed_override, write_results)
+                      run_experiment, write_results)
 
 _COMMAND_KINDS = {
     "chain": "chain-sweep",
@@ -46,7 +47,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"kind: config declares {config.kind!r} but subcommand expects {expected!r}")
         if args.seed_override is not None:
-            config = with_seed_override(config, args.seed_override)
+            config = dataclasses.replace(config, seeds=(args.seed_override,))
     except (ConfigError, OSError) as exc:
         print(f"entroute: config error: {exc}", file=sys.stderr)
         return 1

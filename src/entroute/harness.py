@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .chainopt import MAX_CHAIN_HOPS, Chain, optimize_chain
@@ -232,114 +233,91 @@ def _row(config, seed, topology, gate, channel, variant, hops=0, result=None,
                      d_total, d_total / scale)
 
 
-def _run_chain_sweep(config: ExperimentConfig) -> list[ResultRow]:
-    rows = []
-    seed = config.seeds[0]
-    for gate in config.gate_fidelities:
-        for channel in config.channel_fidelities:
-            chain = Chain(
-                egrs=(config.chain_egr,) * config.chain_hops,
-                fidelities=(channel,) * config.chain_hops,
-                noise=NoiseParams(gate, gate),
-            )
-            rows.append(_row(config, seed, "chain", gate, channel, "-",
-                             config.chain_hops, optimize_chain(chain),
-                             scale=config.chain_egr))
-    return rows
-
-
-def _instance(config: ExperimentConfig, topology: str, channel: float, gate: float,
-              seed: int, egr_range: tuple[int, int]):
+def _network(config, seed, gate, channel, topology, egr_range):
+    """The cell's lattice, with its source and destination nodes."""
     extent = config.resolved_extent()
-    spec = TopologySpec(
-        kind=topology, extent=extent, egr_min=egr_range[0], egr_max=egr_range[1],
-        raw_fidelity=channel, seed=seed,
-    )
+    spec = TopologySpec(topology, extent, *egr_range, channel, seed)
     net = generate_network(spec, NoiseParams(gate, gate))
     s, d = endpoints_for_separation(extent, config.hop_separation)
     return net, s, d
 
 
-def _run_route_compare(config: ExperimentConfig) -> list[ResultRow]:
-    rows = []
+def _chain_rows(config, seed, gate, channel, topology) -> list[ResultRow]:
+    hops = config.chain_hops
+    chain = Chain((config.chain_egr,) * hops, (channel,) * hops, NoiseParams(gate, gate))
+    return [_row(config, seed, topology, gate, channel, "-", hops, optimize_chain(chain),
+                 scale=config.chain_egr)]
+
+
+def _route_rows(config, seed, gate, channel, topology) -> list[ResultRow]:
     # The exhaustive search starts from every cost's path, whichever rows
     # the config asks for.
     costs = (tuple(LinkCost) if config.include_exhaustive
              else tuple(map(LinkCost, config.cost_variants)))
-    for seed in config.seeds:
-        for gate in config.gate_fidelities:
-            for channel in config.channel_fidelities:
-                for topology in config.topologies:
-                    net, s, d = _instance(config, topology, channel, gate, seed,
-                                          config.egr_range)
-                    cell = (config, seed, topology, gate, channel)
-                    mean_egr = net.mean_channel_egr()
-                    try:
-                        routes = weighted_routes(net, s, d, costs)
-                    except NoPathError:
-                        routes = {}
-                    if config.include_exhaustive:
-                        try:
-                            routed = best_path_exhaustive(net, s, d, config.cutoff, routes)
-                        except NoPathError:
-                            rows.append(_row(*cell, "exhaustive"))
-                        else:
-                            rows.append(_row(*cell, "exhaustive", len(routed.path) - 1,
-                                             (routed.plan, routed.evaluation),
-                                             scale=mean_egr))
-                    for variant in config.cost_variants:
-                        if not routes:
-                            rows.append(_row(*cell, variant))
-                            continue
-                        # A route beyond the decoherence budget exists but no
-                        # repeater chain that long works: its result is None,
-                        # an unusable row.
-                        path, result = routes[LinkCost(variant)]
-                        rows.append(_row(*cell, variant, len(path) - 1, result,
-                                         scale=mean_egr))
-    return rows
-
-
-def _run_multipath_compare(config: ExperimentConfig) -> list[ResultRow]:
+    net, s, d = _network(config, seed, gate, channel, topology, config.egr_range)
+    cell = (config, seed, topology, gate, channel)
+    mean_egr = net.mean_channel_egr()
+    try:
+        routes = weighted_routes(net, s, d, costs)
+    except NoPathError:
+        routes = {}
     rows = []
-    for seed in config.seeds:
-        for gate in config.gate_fidelities:
-            for channel in config.channel_fidelities:
-                for topology in config.topologies:
-                    if config.egr_equivalence == "repeater":
-                        egr_range = scaled_egr_range(topology, *config.repeater_egr_range)
-                    else:
-                        egr_range = config.egr_range
-                    net, s, d = _instance(config, topology, channel, gate, seed,
-                                          egr_range)
-                    cell = (config, seed, topology, gate, channel, config.multipath_cost)
-                    routed, cumulative = multipath_greedy(
-                        net, s, d, config.max_paths, LinkCost(config.multipath_cost))
-                    if not routed:
-                        rows.append(_row(*cell))
-                        continue
-                    mean_egr = net.mean_channel_egr()
-                    for rp, cum_d in zip(routed, cumulative):
-                        rows.append(_row(*cell, len(rp.path) - 1, (rp.plan, rp.evaluation),
-                                         d_total=cum_d, scale=mean_egr))
+    if config.include_exhaustive:
+        try:
+            routed = best_path_exhaustive(net, s, d, config.cutoff, routes)
+        except NoPathError:
+            rows.append(_row(*cell, "exhaustive"))
+        else:
+            rows.append(_row(*cell, "exhaustive", len(routed.path) - 1,
+                             (routed.plan, routed.evaluation), scale=mean_egr))
+    for variant in config.cost_variants:
+        if not routes:
+            rows.append(_row(*cell, variant))
+            continue
+        # A route beyond the decoherence budget exists but no repeater chain
+        # that long works: its result is None, an unusable row.
+        path, result = routes[LinkCost(variant)]
+        rows.append(_row(*cell, variant, len(path) - 1, result, scale=mean_egr))
     return rows
 
 
-_RUNNERS = {
-    "chain-sweep": _run_chain_sweep,
-    "route-compare": _run_route_compare,
-    "multipath-compare": _run_multipath_compare,
-}
+def _multipath_rows(config, seed, gate, channel, topology) -> list[ResultRow]:
+    if config.egr_equivalence == "repeater":
+        egr_range = scaled_egr_range(topology, *config.repeater_egr_range)
+    else:
+        egr_range = config.egr_range
+    net, s, d = _network(config, seed, gate, channel, topology, egr_range)
+    cell = (config, seed, topology, gate, channel, config.multipath_cost)
+    routed, cumulative = multipath_greedy(
+        net, s, d, config.max_paths, LinkCost(config.multipath_cost))
+    if not routed:
+        return [_row(*cell)]
+    mean_egr = net.mean_channel_egr()
+    return [_row(*cell, len(rp.path) - 1, (rp.plan, rp.evaluation), d_total=cum_d,
+                 scale=mean_egr)
+            for rp, cum_d in zip(routed, cumulative)]
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run the configured experiment; rows come back canonically sorted.
 
+    One walk of the cell grid, seeds x gate fidelities x channel fidelities
+    x topologies, runs every kind; each cell's rows come from the kind's
+    row builder. A chain sweep has no lattice: it walks only its first
+    listed seed and the one topology ``chain``. The rows are then sorted
+    by (seed, gate, channel, topology, cost variant), stably.
+
     Multipath rows report the cumulative d_total after each discovered path
     (discovery order preserved within a group); rate, fidelity and plan
     columns always describe the individual path.
     """
-    rows = _RUNNERS[config.kind](config)
+    chain = config.kind == "chain-sweep"
+    cell_rows = {"chain-sweep": _chain_rows, "route-compare": _route_rows,
+                 "multipath-compare": _multipath_rows}[config.kind]
+    grid = itertools.product(config.seeds[:1] if chain else config.seeds,
+                             config.gate_fidelities, config.channel_fidelities,
+                             ("chain",) if chain else config.topologies)
+    rows = [row for cell in grid for row in cell_rows(config, *cell)]
     rows.sort(key=lambda r: (r.seed, r.gate_fidelity, r.channel_fidelity,
                              r.topology, r.cost_variant))
     return rows
@@ -394,7 +372,3 @@ def write_results(rows: list[ResultRow], fmt: str, path, metadata: dict | None =
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-
-
-def with_seed_override(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    return replace(config, seeds=(seed,))
