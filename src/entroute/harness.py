@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .chainopt import MAX_CHAIN_HOPS, Chain, optimize_chain
-from .netgraph import (GENERATOR_NAME, LATTICE_KINDS, TopologySpec,
+from .netgraph import (GENERATOR_NAME, LATTICE_KINDS, MAX_EGR_SPAN, TopologySpec,
                        default_extent, endpoints_for_separation,
                        generate_network, scaled_egr_range)
 from .routing import (LinkCost, NoPathError, best_path_exhaustive, multipath_greedy,
@@ -127,6 +127,16 @@ class ExperimentConfig:
                 f"egr_equivalence: must be 'channel' or 'repeater', got {self.egr_equivalence!r}")
         if not 1 <= self.repeater_egr_range[0] <= self.repeater_egr_range[1]:
             raise ConfigError(f"repeater_egr_range: invalid range {self.repeater_egr_range}")
+        # Lattice generation draws each EGR from a 64-bit word.
+        lo, hi = self.egr_range
+        if hi - lo + 1 > MAX_EGR_SPAN:
+            raise ConfigError(f"egr_range: {self.egr_range} holds more than 2**64 values")
+        for kind in self.topologies:
+            lo, hi = scaled_egr_range(kind, *self.repeater_egr_range)
+            if hi - lo + 1 > MAX_EGR_SPAN:
+                raise ConfigError(
+                    f"repeater_egr_range: {self.repeater_egr_range} scales to [{lo}, {hi}] "
+                    f"on {kind}, which holds more than 2**64 values")
         if self.multipath_cost not in [c.value for c in LinkCost]:
             raise ConfigError(f"multipath_cost: unknown cost {self.multipath_cost!r}")
         # A repeated value would run its cells again and write their rows twice.

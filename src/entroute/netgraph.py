@@ -21,6 +21,9 @@ LATTICE_KINDS = ("triangular", "square", "hexagonal")
 INTERIOR_DEGREE = {"triangular": 6, "square": 4, "hexagonal": 3}
 
 _MASK64 = (1 << 64) - 1
+# The generator draws EGRs from 64-bit words, so a range may hold at most
+# 2**64 values; a wider one would reject every draw.
+MAX_EGR_SPAN = 1 << 64
 
 
 def splitmix64(seed: int):
@@ -76,6 +79,9 @@ class TopologySpec:
         if self.kind not in LATTICE_KINDS:
             raise ValueError(f"unknown lattice kind {self.kind!r}")
         rows, cols = self.extent
+        for n in (rows, cols):
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                raise ValueError(f"extent must be two positive integers, got {self.extent!r}")
         if rows * cols < 2:
             raise ValueError(f"extent {self.extent} has fewer than 2 nodes")
         for egr in (self.egr_min, self.egr_max):
@@ -83,6 +89,9 @@ class TopologySpec:
                 raise ValueError(f"egr range bounds must be integers, got {egr!r}")
         if not 1 <= self.egr_min <= self.egr_max:
             raise ValueError(f"invalid egr range [{self.egr_min}, {self.egr_max}]")
+        if self.egr_max - self.egr_min + 1 > MAX_EGR_SPAN:
+            raise ValueError(f"egr range [{self.egr_min}, {self.egr_max}] "
+                             "holds more than 2**64 values")
         check_fidelity(self.raw_fidelity)
 
 
@@ -218,9 +227,15 @@ def scaled_egr_range(kind: str, repeater_lo: int, repeater_hi: int) -> tuple[int
     in the 2:3:4 ratio for triangular, square, hexagonal grids.
     """
     degree = INTERIOR_DEGREE[kind]
-    lo = max(1, round(repeater_lo / degree))
-    hi = max(lo, round(repeater_hi / degree))
+    lo = max(1, _nearest(repeater_lo, degree))
+    hi = max(lo, _nearest(repeater_hi, degree))
     return lo, hi
+
+
+def _nearest(n: int, d: int) -> int:
+    """``round(n / d)``, halves to even, in integers: no float to overflow."""
+    q, r = divmod(2 * n + d, 2 * d)
+    return q - (r == 0 and q % 2 == 1)
 
 
 def network_to_json(net: Network) -> str:

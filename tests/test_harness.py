@@ -350,6 +350,40 @@ def test_config_validation_messages():
                                         name: list(repeated)})
 
 
+def test_config_rejects_egr_ranges_wider_than_a_draw():
+    # Lattice generation draws each EGR from a 64-bit word; a wider range
+    # would reject every draw and never return. Nothing is generated here.
+    with pytest.raises(ConfigError, match="egr_range"):
+        ExperimentConfig.from_dict({"id": "x", "kind": "route-compare",
+                                    "egr_range": [1, 10**30]})
+    _route_config(egr_range=(5, 2**64 + 4))
+    with pytest.raises(ConfigError, match="egr_range"):
+        _route_config(egr_range=(5, 2**64 + 5))
+    for repeater in ((1, 2**70), (1, 10**400)):
+        with pytest.raises(ConfigError, match="repeater_egr_range"):
+            _route_config(repeater_egr_range=repeater)
+    # The repeater range is checked as scaled for each listed topology:
+    # 2**66 / 4 is exactly 2**64 values on a square lattice, but 2**66 / 3
+    # is more on a hexagonal one.
+    _route_config(repeater_egr_range=(1, 2**66), topologies=("square", "triangular"))
+    with pytest.raises(ConfigError, match="repeater_egr_range.*hexagonal"):
+        _route_config(repeater_egr_range=(1, 2**66), topologies=("square", "hexagonal"))
+
+
+def test_cli_rejects_a_wide_egr_range_as_a_config_error(tmp_path, monkeypatch, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"id": "x", "kind": "route-compare",
+                                       "egr_range": [1, 10**30]}))
+
+    def never_run(config):  # were the config accepted, the run would not return
+        raise AssertionError("the config was accepted")
+    monkeypatch.setattr(cli, "run_experiment", never_run)
+    capsys.readouterr()
+    assert main(["route", "--config", str(config_path), "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err.startswith("entroute: config error: egr_range: ")
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_config_from_dict_diagnostics():
     with pytest.raises(ConfigError, match="id"):
         ExperimentConfig.from_dict({"kind": "chain-sweep"})

@@ -139,6 +139,15 @@ def test_scaled_ranges_follow_2_3_4_rule():
     assert 6 * mids[0] == 4 * mids[1] == 3 * mids[2] == 72.0
 
 
+def test_scaled_ranges_round_as_float_division_does():
+    # Integer rounding, so a huge repeater range cannot overflow a float;
+    # halves go to the even integer, as round() does.
+    for kind, degree in netgraph.INTERIOR_DEGREE.items():
+        for lo in range(1, 400):
+            assert scaled_egr_range(kind, lo, lo) == (max(1, round(lo / degree)),) * 2
+    assert scaled_egr_range("hexagonal", 1, 10**400) == (1, 10**400 // 3)
+
+
 def test_repeater_egr_means_match_across_topologies():
     # Recompute interior repeater EGR after scaling: per-node means across
     # topologies agree within sampling error.
@@ -229,6 +238,16 @@ def test_spec_validation():
         TopologySpec("square", (1, 1), 8, 32, 0.99, seed=1)
     with pytest.raises(ValueError):
         TopologySpec("square", (3, 3), 9, 8, 0.99, seed=1)
+    # A negative pair passes the node-count check but has no nodes; a float
+    # breaks range().
+    for extent in ((-1, -5), (0, 5), (5, 0), (2.5, 4), (4, 2.0), (True, 4)):
+        with pytest.raises(ValueError, match="extent"):
+            TopologySpec("square", extent, 8, 32, 0.9, seed=1)
+    # Each EGR is drawn from one 64-bit word: a wider range would reject
+    # every draw, and generating from it would never return.
+    for lo, hi in ((1, 10**30), (1, 2**64 + 1), (5, 2**64 + 5)):
+        with pytest.raises(ValueError, match="egr range"):
+            TopologySpec("square", (3, 3), lo, hi, 0.99, seed=1)
     # The generator fills the link table from the spec, so the spec's EGR
     # bounds must be integers.
     for lo, hi in ((8.0, 32), (8, 32.5), (True, 32)):
@@ -246,3 +265,11 @@ def test_spec_validation():
 def test_channel_endpoints_canonicalized():
     ch = Channel(5, 2, 10, 0.9)
     assert (ch.u, ch.v) == (2, 5)
+
+
+def test_generation_accepts_the_widest_egr_range():
+    # 2**64 values: no draw is rejected, and each EGR is 1 plus its word.
+    spec = TopologySpec("square", (2, 3), 1, 2**64, 0.99, seed=7)
+    words = netgraph.splitmix64(7)
+    assert [egr for egr, _ in generate_network(spec).links.values()] == [
+        1 + next(words) for _ in range(7)]
