@@ -316,6 +316,8 @@ def test_config_validation_messages():
         _chain_config(gate_fidelities=())
     with pytest.raises(ConfigError, match="gate_fidelities"):
         _chain_config(gate_fidelities=(0.3,))
+    with pytest.raises(ConfigError, match="gate_fidelities"):
+        _chain_config(gate_fidelities=(0.5,))
     with pytest.raises(ConfigError, match="kind"):
         ExperimentConfig(id="x", kind="other")
     with pytest.raises(ConfigError, match="extent"):
@@ -382,6 +384,34 @@ def test_cli_rejects_a_wide_egr_range_as_a_config_error(tmp_path, monkeypatch, c
     assert main(["route", "--config", str(config_path), "--out", str(tmp_path / "o.csv")]) == 1
     assert capsys.readouterr().err.startswith("entroute: config error: egr_range: ")
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"channel_fidelities": (0.25, 1.0)},
+    {"chain_hops": 1},
+    {"chain_hops": MAX_CHAIN_HOPS},
+    {"chain_egr": 1},
+    {"hop_separation": 1},
+    {"extent": (1, 4)},  # cols == hop_separation + 1
+    {"egr_range": (1, 1)},
+    {"cutoff": 1},
+    {"max_paths": 1},
+    {"repeater_egr_range": (16, 16)},
+], ids=lambda overrides: next(iter(overrides)))
+def test_config_accepts_the_ends_of_its_ranges(overrides):
+    config = _route_config(**overrides)
+    assert all(getattr(config, name) == value for name, value in overrides.items())
+
+
+def test_seed_ranges_may_hold_one_seed_up_to_the_cap(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_SEED_COUNT", 3)
+    for count in (1, 3):
+        config = ExperimentConfig.from_dict(
+            {"id": "x", "kind": "chain-sweep", "seeds": {"start": 7, "count": count}})
+        assert config.seeds == tuple(range(7, 7 + count))
+    with pytest.raises(ConfigError, match="seeds"):
+        ExperimentConfig.from_dict({"id": "x", "kind": "chain-sweep",
+                                    "seeds": {"start": 7, "count": 4}})
 
 
 def test_config_from_dict_diagnostics():

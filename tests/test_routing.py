@@ -4,7 +4,7 @@ import random
 import pytest
 
 from entroute import routing
-from entroute.chainopt import chain_from_path, optimize_chain
+from entroute.chainopt import MAX_CHAIN_HOPS, chain_from_path, optimize_chain
 from entroute.netgraph import (Channel, Network, TopologySpec, default_extent,
                                endpoints_for_separation, generate_network)
 from entroute.routing import (LinkCost, NoPathError, RoutedPath, best_path_exhaustive,
@@ -62,6 +62,7 @@ def test_cutoff_limits_path_length():
     net = _net([(0, 1, 10), (1, 2, 10), (0, 3, 10), (3, 4, 10), (4, 2, 10)])
     assert enumerate_paths(net, 0, 2, cutoff=2) == [[0, 1, 2]]
     assert enumerate_paths(net, 0, 2, cutoff=10) == [[0, 1, 2], [0, 3, 4, 2]]
+    assert enumerate_paths(net, 0, 1, cutoff=1) == [[0, 1]]
 
 
 def test_unreachable_within_cutoff_is_empty():
@@ -153,9 +154,13 @@ def test_weighted_routes_optimize_each_distinct_path_once(monkeypatch):
 
 
 def test_weighted_routes_beyond_the_chain_cap_have_no_plan():
-    line = _net([(i, i + 1, 10) for i in range(11)])
-    routes = weighted_routes(line, 0, 11)
-    assert all(routes[cost] == (tuple(range(12)), None) for cost in LinkCost)
+    line = _net([(i, i + 1, 10) for i in range(MAX_CHAIN_HOPS + 1)])
+    routes = weighted_routes(line, 0, MAX_CHAIN_HOPS + 1)
+    assert all(routes[cost] == (tuple(range(MAX_CHAIN_HOPS + 2)), None) for cost in LinkCost)
+    # A path of exactly the cap still has its plan.
+    path = tuple(range(MAX_CHAIN_HOPS + 1))
+    assert weighted_routes(line, 0, MAX_CHAIN_HOPS, (LinkCost.HOP,)) == {
+        LinkCost.HOP: (path, optimize_chain(chain_from_path(line, path)))}
     with pytest.raises(NoPathError):
         weighted_routes(_net([(0, 1, 10), (2, 3, 10)]), 0, 3)
 
@@ -249,6 +254,30 @@ def test_exhaustive_matches_brute_force(kind, extent, hops, cutoff):
             net, s, d, cutoff)
 
 
+def test_exhaustive_without_seeds_breaks_zero_d_ties_like_brute_force():
+    # Nothing distills from these channels, so every path ties at D = 0 and
+    # the joint bound reads exactly the best D found. A prefix whose bound
+    # only equals it may still hold a shorter path, which must win the tie.
+    extent = (3, 5)
+    s, d = endpoints_for_separation(extent, 3)
+    for f_raw, noise in ((0.5, PERFECT), (0.6, NoiseParams(0.9, 0.9))):
+        net = generate_network(TopologySpec("triangular", extent, 8, 32, f_raw, seed=1), noise)
+        best = best_path_exhaustive(net, s, d, 6, {})
+        assert best.evaluation.d_total == 0.0
+        assert (best.evaluation.d_total, list(best.path)) == _brute_force_exhaustive(
+            net, s, d, 6)
+
+
+def test_exhaustive_does_not_optimize_a_seed_of_exactly_cutoff_hops_again(monkeypatch):
+    line = _net([(0, 1, 10), (1, 2, 12), (2, 3, 9)])
+    seeds = weighted_routes(line, 0, 3)
+
+    def optimized_again(*args, **kwargs):
+        raise AssertionError("the search optimized a seeded path")
+    monkeypatch.setattr(routing, "_optimize_floored", optimized_again)
+    assert best_path_exhaustive(line, 0, 3, 3, seeds).path == (0, 1, 2, 3)
+
+
 def test_exhaustive_tie_prefers_shorter_then_lexicographic():
     # Two symmetric 2-hop branches tie exactly; node order decides.
     net = _net([(0, 1, 16), (1, 3, 16), (0, 2, 16), (2, 3, 16)])
@@ -266,6 +295,7 @@ def test_exhaustive_respects_cutoff():
     net = _net([(0, 1, 10), (1, 2, 10), (2, 3, 10)])
     with pytest.raises(NoPathError):
         best_path_exhaustive(net, 0, 3, cutoff=2)
+    assert best_path_exhaustive(net, 0, 1, cutoff=1).path == (0, 1)
 
 
 def test_multipath_square_corner_limited_by_degree():
@@ -302,3 +332,5 @@ def test_multipath_validates_arguments():
     net = _net([(0, 1, 10)])
     with pytest.raises(ValueError):
         multipath_greedy(net, 0, 1, max_paths=0)
+    routed, cumulative = multipath_greedy(net, 0, 1, max_paths=1)
+    assert [rp.path for rp in routed] == [(0, 1)] and len(cumulative) == 1
