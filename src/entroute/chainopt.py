@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .netgraph import Network
+from .netgraph import Network, is_egr
 from .purify import (MAX_CIRCUIT_K, _evaluate_cached, _rate, circuit_for, evaluate_circuit,
                      post_purification_rate)
 from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, distillable,
@@ -44,8 +44,8 @@ class Chain:
         if len(self.egrs) < 1:
             raise ValueError("chain must have at least one hop")
         for egr in self.egrs:
-            if egr < 1:
-                raise ValueError(f"hop egr must be >= 1, got {egr}")
+            if not is_egr(egr):
+                raise ValueError(f"hop egr must be an integer in 1..2**64, got {egr!r}")
         for f in self.fidelities:
             check_fidelity(f)
 

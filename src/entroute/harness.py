@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .chainopt import MAX_CHAIN_HOPS, Chain, optimize_chain
-from .netgraph import (GENERATOR_NAME, LATTICE_KINDS, MAX_EGR_SPAN, TopologySpec,
+from .netgraph import (GENERATOR_NAME, LATTICE_KINDS, MAX_EGR, TopologySpec,
                        default_extent, endpoints_for_separation,
                        generate_network, scaled_egr_range)
 from .routing import (LinkCost, NoPathError, best_path_exhaustive, multipath_greedy,
@@ -96,8 +96,8 @@ class ExperimentConfig:
                 raise ConfigError(f"channel_fidelities: values must be in [0.25, 1], got {f}")
         if not 1 <= self.chain_hops <= MAX_CHAIN_HOPS:
             raise ConfigError(f"chain_hops: must be 1..{MAX_CHAIN_HOPS}, got {self.chain_hops}")
-        if self.chain_egr < 1:
-            raise ConfigError(f"chain_egr: must be >= 1, got {self.chain_egr}")
+        if not 1 <= self.chain_egr <= MAX_EGR:
+            raise ConfigError(f"chain_egr: must be 1..2**64, got {self.chain_egr}")
         if not self.topologies:
             raise ConfigError("topologies: must be non-empty")
         for kind in self.topologies:
@@ -109,8 +109,8 @@ class ExperimentConfig:
         if cols < self.hop_separation + 1 or rows < 1:
             raise ConfigError(
                 f"extent: {rows}x{cols} cannot hold hop separation {self.hop_separation}")
-        if not 1 <= self.egr_range[0] <= self.egr_range[1]:
-            raise ConfigError(f"egr_range: invalid range {self.egr_range}")
+        if not 1 <= self.egr_range[0] <= self.egr_range[1] <= MAX_EGR:
+            raise ConfigError(f"egr_range: invalid range {self.egr_range}, must be in 1..2**64")
         if not 1 <= self.cutoff <= MAX_CHAIN_HOPS:
             # A longer path has no purification plan to score.
             raise ConfigError(f"cutoff: must be 1..{MAX_CHAIN_HOPS}, got {self.cutoff}")
@@ -125,18 +125,10 @@ class ExperimentConfig:
         if self.egr_equivalence not in ("channel", "repeater"):
             raise ConfigError(
                 f"egr_equivalence: must be 'channel' or 'repeater', got {self.egr_equivalence!r}")
-        if not 1 <= self.repeater_egr_range[0] <= self.repeater_egr_range[1]:
-            raise ConfigError(f"repeater_egr_range: invalid range {self.repeater_egr_range}")
-        # Lattice generation draws each EGR from a 64-bit word.
-        lo, hi = self.egr_range
-        if hi - lo + 1 > MAX_EGR_SPAN:
-            raise ConfigError(f"egr_range: {self.egr_range} holds more than 2**64 values")
-        for kind in self.topologies:
-            lo, hi = scaled_egr_range(kind, *self.repeater_egr_range)
-            if hi - lo + 1 > MAX_EGR_SPAN:
-                raise ConfigError(
-                    f"repeater_egr_range: {self.repeater_egr_range} scales to [{lo}, {hi}] "
-                    f"on {kind}, which holds more than 2**64 values")
+        # A repeater range inside 1..2**64 scales to a channel range inside it too.
+        if not 1 <= self.repeater_egr_range[0] <= self.repeater_egr_range[1] <= MAX_EGR:
+            raise ConfigError(f"repeater_egr_range: invalid range {self.repeater_egr_range}, "
+                              "must be in 1..2**64")
         if self.multipath_cost not in [c.value for c in LinkCost]:
             raise ConfigError(f"multipath_cost: unknown cost {self.multipath_cost!r}")
         # A repeated value would run its cells again and write their rows twice.

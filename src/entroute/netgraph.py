@@ -21,9 +21,17 @@ LATTICE_KINDS = ("triangular", "square", "hexagonal")
 INTERIOR_DEGREE = {"triangular": 6, "square": 4, "hexagonal": 3}
 
 _MASK64 = (1 << 64) - 1
-# The generator draws EGRs from 64-bit words, so a range may hold at most
-# 2**64 values; a wider one would reject every draw.
-MAX_EGR_SPAN = 1 << 64
+# The generator draws each EGR from one 64-bit word, so any EGR range inside
+# 1..MAX_EGR holds at most the 2**64 values a draw can pick from.
+MAX_EGR = 1 << 64
+
+
+def is_egr(egr) -> bool:
+    """Whether ``egr`` is a valid EGR: an integer, not a bool, in 1..MAX_EGR.
+
+    Every rate and D computed from such an EGR is a finite float.
+    """
+    return not isinstance(egr, bool) and isinstance(egr, int) and 1 <= egr <= MAX_EGR
 
 
 def splitmix64(seed: int):
@@ -53,10 +61,8 @@ class Channel:
             lo, hi = self.v, self.u
             object.__setattr__(self, "u", lo)
             object.__setattr__(self, "v", hi)
-        if isinstance(self.egr, bool) or not isinstance(self.egr, int):
-            raise ValueError(f"channel egr must be an integer, got {self.egr!r}")
-        if self.egr < 1:
-            raise ValueError(f"channel egr must be >= 1, got {self.egr}")
+        if not is_egr(self.egr):
+            raise ValueError(f"channel egr must be an integer in 1..2**64, got {self.egr!r}")
         check_fidelity(self.raw_fidelity)
 
     @property
@@ -84,14 +90,9 @@ class TopologySpec:
                 raise ValueError(f"extent must be two positive integers, got {self.extent!r}")
         if rows * cols < 2:
             raise ValueError(f"extent {self.extent} has fewer than 2 nodes")
-        for egr in (self.egr_min, self.egr_max):
-            if isinstance(egr, bool) or not isinstance(egr, int):
-                raise ValueError(f"egr range bounds must be integers, got {egr!r}")
-        if not 1 <= self.egr_min <= self.egr_max:
-            raise ValueError(f"invalid egr range [{self.egr_min}, {self.egr_max}]")
-        if self.egr_max - self.egr_min + 1 > MAX_EGR_SPAN:
-            raise ValueError(f"egr range [{self.egr_min}, {self.egr_max}] "
-                             "holds more than 2**64 values")
+        if not (is_egr(self.egr_min) and is_egr(self.egr_max) and self.egr_min <= self.egr_max):
+            raise ValueError("egr range bounds must be integers in 1..2**64, in order, "
+                             f"got [{self.egr_min!r}, {self.egr_max!r}]")
         check_fidelity(self.raw_fidelity)
 
 

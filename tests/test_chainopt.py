@@ -129,6 +129,13 @@ def test_chain_validation():
         Chain((0,), (0.9,))
     with pytest.raises(ValueError):
         Chain((10,), (0.1,))
+    for egr in (True, 2.5, 2**64 + 1):
+        with pytest.raises(ValueError, match="egr"):
+            Chain((10, egr), (0.9, 0.9))
+    # The largest EGR still gives a finite rate and D.
+    evaluation = optimize_chain(Chain((2**64,) * 3, (0.95,) * 3))[1]
+    assert math.isfinite(evaluation.rate) and math.isfinite(evaluation.d_total)
+    assert evaluation.d_total > 0
 
 
 def test_optimize_perfect_link_needs_no_purification():

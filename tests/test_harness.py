@@ -17,7 +17,8 @@ from entroute.cli import main
 from entroute.harness import (EXPERIMENT_KINDS, MAX_SEED_COUNT, ConfigError,
                               ExperimentConfig, RESULT_FIELDS, ResultRow, build_metadata,
                               run_experiment, write_results)
-from entroute.netgraph import TopologySpec, generate_network, endpoints_for_separation
+from entroute.netgraph import (LATTICE_KINDS, MAX_EGR, TopologySpec, generate_network,
+                               endpoints_for_separation)
 from entroute.routing import LinkCost, NoPathError, best_path_exhaustive, shortest_weighted_path
 from entroute.werner import NoiseParams
 
@@ -358,18 +359,19 @@ def test_config_rejects_egr_ranges_wider_than_a_draw():
     with pytest.raises(ConfigError, match="egr_range"):
         ExperimentConfig.from_dict({"id": "x", "kind": "route-compare",
                                     "egr_range": [1, 10**30]})
-    _route_config(egr_range=(5, 2**64 + 4))
-    with pytest.raises(ConfigError, match="egr_range"):
-        _route_config(egr_range=(5, 2**64 + 5))
-    for repeater in ((1, 2**70), (1, 10**400)):
+    # Every EGR lies in 1..2**64, so no range inside it is wider than a draw.
+    _route_config(egr_range=(5, 2**64))
+    for egr_range in ((5, 2**64 + 1), (5, 2**64 + 5), (10**400, 10**400)):
+        with pytest.raises(ConfigError, match="egr_range"):
+            _route_config(egr_range=egr_range)
+    for repeater in ((1, 2**70), (1, 10**400), (1, 2**64 + 1), (10**400, 10**400)):
         with pytest.raises(ConfigError, match="repeater_egr_range"):
             _route_config(repeater_egr_range=repeater)
-    # The repeater range is checked as scaled for each listed topology:
-    # 2**66 / 4 is exactly 2**64 values on a square lattice, but 2**66 / 3
-    # is more on a hexagonal one.
-    _route_config(repeater_egr_range=(1, 2**66), topologies=("square", "triangular"))
-    with pytest.raises(ConfigError, match="repeater_egr_range.*hexagonal"):
-        _route_config(repeater_egr_range=(1, 2**66), topologies=("square", "hexagonal"))
+    # A repeater range inside 1..2**64 scales inside it on every lattice.
+    _route_config(repeater_egr_range=(1, 2**64), topologies=tuple(LATTICE_KINDS))
+    for chain_egr in (2**64 + 1, 10**400):
+        with pytest.raises(ConfigError, match="chain_egr"):
+            _chain_config(chain_egr=chain_egr)
 
 
 def test_cli_rejects_a_wide_egr_range_as_a_config_error(tmp_path, monkeypatch, capsys):
@@ -386,17 +388,44 @@ def test_cli_rejects_a_wide_egr_range_as_a_config_error(tmp_path, monkeypatch, c
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("route-compare", "egr_range", [10**400, 10**400]),
+    ("chain-sweep", "chain_egr", 10**400),
+    ("multipath-compare", "repeater_egr_range", [10**400, 10**400]),
+], ids=("egr_range", "chain_egr", "repeater_egr_range"))
+def test_cli_rejects_an_egr_above_2_64_as_a_config_error(tmp_path, monkeypatch, capsys,
+                                                         kind, field, value):
+    # Such an EGR overflows a float once the run computes a rate or a mean.
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"id": "x", "kind": kind, field: value}))
+
+    def never_run(config):
+        raise AssertionError("the config was accepted")
+    monkeypatch.setattr(cli, "run_experiment", never_run)
+    command = {"route-compare": "route", "chain-sweep": "chain",
+               "multipath-compare": "multipath"}[kind]
+    capsys.readouterr()
+    assert main([command, "--config", str(config_path), "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"entroute: config error: {field}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("overrides", [
     {"channel_fidelities": (0.25, 1.0)},
     {"chain_hops": 1},
     {"chain_hops": MAX_CHAIN_HOPS},
     {"chain_egr": 1},
+    {"chain_egr": MAX_EGR},
     {"hop_separation": 1},
     {"extent": (1, 4)},  # cols == hop_separation + 1
     {"egr_range": (1, 1)},
+    {"egr_range": (MAX_EGR, MAX_EGR)},
     {"cutoff": 1},
     {"max_paths": 1},
     {"repeater_egr_range": (16, 16)},
+    {"repeater_egr_range": (MAX_EGR, MAX_EGR)},
 ], ids=lambda overrides: next(iter(overrides)))
 def test_config_accepts_the_ends_of_its_ranges(overrides):
     config = _route_config(**overrides)

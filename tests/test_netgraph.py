@@ -217,6 +217,8 @@ def test_import_ignores_the_old_t_decoh_key():
     (json.dumps(_doc(channels=[{"u": 0, "v": 1, "raw_fidelity": 0.9}])), "egr"),
     (json.dumps(_doc(channels=[{"u": 0, "v": 1, "egr": "3", "raw_fidelity": 0.9}])), "egr"),
     (json.dumps(_doc(channels=[{"u": 0, "v": 1, "egr": 3.5, "raw_fidelity": 0.9}])), "egr"),
+    (json.dumps(_doc(channels=[{"u": 0, "v": 1, "egr": 2**64 + 1, "raw_fidelity": 0.9}])),
+     "egr"),
     (json.dumps(_doc(channels=[{"u": 0, "v": 1, "egr": 3, "raw_fidelity": "0.9"}])),
      "raw_fidelity"),
     (json.dumps(_doc(channels=[{"u": 0, "v": 1, "egr": 3, "raw_fidelity": True}])),
@@ -273,3 +275,24 @@ def test_generation_accepts_the_widest_egr_range():
     words = netgraph.splitmix64(7)
     assert [egr for egr, _ in generate_network(spec).links.values()] == [
         1 + next(words) for _ in range(7)]
+
+
+def test_generation_rejects_a_draw_equal_to_the_rejection_limit():
+    # Seed 0's first word w is above 2**63, so over the range [1, w] the
+    # limit (2**64 // w) * w is w itself: that draw is rejected, and the
+    # first channel takes the next word.
+    words = netgraph.splitmix64(0)
+    first, second = next(words), next(words)
+    spec = TopologySpec("square", (1, 2), 1, first, 0.99, seed=0)
+    assert generate_network(spec).links == {(0, 1): (1 + second % first, 0.99)}
+
+
+def test_spec_accepts_the_ends_of_its_ranges():
+    # Two nodes, and a range holding one EGR.
+    spec = TopologySpec("square", (1, 2), 7, 7, 0.99, seed=1)
+    assert generate_network(spec).links == {(0, 1): (7, 0.99)}
+
+
+def test_endpoints_at_the_smallest_separation_and_extent():
+    assert endpoints_for_separation((3, 2), 1) == (2, 3)
+    assert endpoints_for_separation((5, 5), 4) == (10, 14)
