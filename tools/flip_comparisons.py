@@ -21,12 +21,15 @@ from __future__ import annotations
 import argparse
 import ast
 import os
-import re
 import subprocess
 import sys
 import tempfile
 
 FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
+_FLIPPED = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+
+# Seconds before a mutant's test run is stopped; a stopped run counts as killed.
+TIMEOUT_S = 600.0
 
 # Runs in the pytest process: argv is [module path, mutant path, *pytest args].
 _BOOT = r"""
@@ -59,40 +62,29 @@ sys.exit(pytest.main(sys.argv[3:]))
 
 def mutants(source: str):
     """(line, column, old, new, mutant source) for each flippable
-    comparison, in source order."""
-    # ast columns count UTF-8 bytes, so positions are taken in the bytes.
-    data = source.encode("utf-8")
-    line_starts = [0]
-    for line in data.splitlines(keepends=True):
-        line_starts.append(line_starts[-1] + len(line))
-    found = []
-    for node in ast.walk(ast.parse(source)):
+    comparison, in source order. The position is that of the operand
+    right of the flipped operator."""
+    tree = ast.parse(source)
+    result = []
+    for node in ast.walk(tree):
         if not isinstance(node, ast.Compare):
             continue
-        operands = [node.left, *node.comparators]
-        for op, left, right in zip(node.ops, operands, operands[1:]):
+        for i, (op, right) in enumerate(zip(node.ops, node.comparators)):
             if type(op) in FLIPS:
-                # The operator is the only < or > between its two operands.
-                start = line_starts[left.end_lineno - 1] + left.end_col_offset
-                end = line_starts[right.lineno - 1] + right.col_offset
-                found.append((start + re.search(rb"[<>]", data[start:end]).start(),
-                              *FLIPS[type(op)]))
-    result = []
-    for at, old, new in sorted(found):
-        line = data.count(b"\n", 0, at) + 1
-        text = data[:at] + new.encode() + data[at + len(old):]
-        column = len(data[line_starts[line - 1]:at].decode("utf-8")) + 1
-        result.append((line, column, old, new, text.decode("utf-8")))
-    return result
+                old, new = FLIPS[type(op)]
+                node.ops[i] = _FLIPPED[type(op)]()
+                result.append((right.lineno, right.col_offset + 1, old, new, ast.unparse(tree)))
+                node.ops[i] = op
+    return sorted(result)
 
 
-def _run(module: str, mutant_path: str, tests: list[str], timeout: float) -> bool:
+def _run(module: str, mutant_path: str, tests: list[str]) -> bool:
     """Whether the tests pass with ``mutant_path`` imported as ``module``."""
     command = [sys.executable, "-c", _BOOT, module, mutant_path,
                "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(command, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                              timeout=timeout)
+                              timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return False
     return done.returncode == 0
@@ -102,8 +94,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="source file to mutate")
     parser.add_argument("tests", nargs="+", help="test files to run against each mutant")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds before a mutant's test run counts as killed")
     args = parser.parse_args(argv)
     with open(args.module, encoding="utf-8") as fh:
         source = fh.read()
@@ -113,14 +103,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         mutant_path = os.path.join(tmp, "mutant.py")
         with open(mutant_path, "w", encoding="utf-8") as fh:
-            fh.write(source)
-        if not _run(args.module, mutant_path, args.tests, args.timeout):
+            fh.write(ast.unparse(ast.parse(source)))
+        if not _run(args.module, mutant_path, args.tests):
             print("the tests fail on the unmutated module", file=sys.stderr)
             return 2
         for line, column, old, new, text in found:
             with open(mutant_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            if _run(args.module, mutant_path, args.tests, args.timeout):
+            if _run(args.module, mutant_path, args.tests):
                 survivors += 1
                 print(f"{args.module}:{line}:{column}: {old} -> {new} | "
                       f"{source_lines[line - 1].strip()}", flush=True)
