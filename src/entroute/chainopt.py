@@ -358,6 +358,9 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     With ``floor`` set, bottlenecks too slow to reach it are skipped: an entry
     at or above ``floor`` is exact, one below it only says "below floor".
     """
+    if not (is_egr(min_egr) and is_egr(max_egr) and min_egr <= max_egr):
+        raise ValueError("min and max EGR must be integers in 1..2**64, in order, "
+                         f"got [{min_egr!r}, {max_egr!r}]")
     swap = noise.swap_factor
     bar = -math.inf if floor is None else floor / _BOUND_SLACK
     # D <= r, so a threshold below every entry (or the floor) raises none.

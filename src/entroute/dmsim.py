@@ -37,63 +37,13 @@ def werner_dm(f: float) -> np.ndarray:
     return rho
 
 
-def _bit(index: int, qubit: int, n: int) -> int:
-    return (index >> (n - 1 - qubit)) & 1
-
-
-def _set_bits(index: int, n: int, assignments: dict[int, int]) -> int:
-    for qubit, value in assignments.items():
-        mask = 1 << (n - 1 - qubit)
-        index = (index | mask) if value else (index & ~mask)
-    return index
-
-
-def embed_two_qubit(gate: np.ndarray, q1: int, q2: int, n: int) -> np.ndarray:
-    """Embed a 4x4 operator acting on qubits (q1, q2) into an n-qubit operator."""
-    dim = 1 << n
-    full = np.zeros((dim, dim))
-    for col in range(dim):
-        src = 2 * _bit(col, q1, n) + _bit(col, q2, n)
-        for dst in range(4):
-            amp = gate[dst, src]
-            if amp == 0.0:
-                continue
-            row = _set_bits(col, n, {q1: dst >> 1, q2: dst & 1})
-            full[row, col] += amp
-    return full
-
-
-def embed_one_qubit(gate: np.ndarray, q: int, n: int) -> np.ndarray:
-    dim = 1 << n
-    full = np.zeros((dim, dim))
-    for col in range(dim):
-        src = _bit(col, q, n)
-        for dst in range(2):
-            amp = gate[dst, src]
-            if amp == 0.0:
-                continue
-            full[_set_bits(col, n, {q: dst}), col] += amp
-    return full
-
-
 def partial_trace(rho: np.ndarray, keep: list[int], n: int) -> np.ndarray:
     """Trace out every qubit not listed in ``keep`` (kept order preserved)."""
     traced = [q for q in range(n) if q not in keep]
-    dim_keep = 1 << len(keep)
-    dim_traced = 1 << len(traced)
-    out = np.zeros((dim_keep, dim_keep))
-    for i in range(dim_keep):
-        i_bits = {q: _bit(i, pos, len(keep)) for pos, q in enumerate(keep)}
-        for j in range(dim_keep):
-            j_bits = {q: _bit(j, pos, len(keep)) for pos, q in enumerate(keep)}
-            total = 0.0
-            for m in range(dim_traced):
-                m_bits = {q: _bit(m, pos, len(traced)) for pos, q in enumerate(traced)}
-                row = _set_bits(0, n, {**i_bits, **m_bits})
-                col = _set_bits(0, n, {**j_bits, **m_bits})
-                total += rho[row, col]
-            out[i, j] = total
-    return out
+    order = list(keep) + traced
+    tensor = rho.reshape([2] * (2 * n)).transpose(order + [n + q for q in order])
+    dim_keep, dim_traced = 1 << len(keep), 1 << len(traced)
+    return np.einsum("ajbj->ab", tensor.reshape(dim_keep, dim_traced, dim_keep, dim_traced))
 
 
 def _reorder(rho: np.ndarray, current_order: list[int], n: int) -> np.ndarray:
@@ -102,6 +52,18 @@ def _reorder(rho: np.ndarray, current_order: list[int], n: int) -> np.ndarray:
     tensor = rho.reshape([2] * (2 * n))
     tensor = tensor.transpose(axes + [n + a for a in axes])
     return tensor.reshape(1 << n, 1 << n)
+
+
+def embed(gate: np.ndarray, qubits: list[int], n: int) -> np.ndarray:
+    """Embed an operator acting on ``qubits`` (in that order) into an n-qubit operator."""
+    rest = [q for q in range(n) if q not in qubits]
+    return _reorder(np.kron(gate, np.eye(1 << len(rest))), list(qubits) + rest, n)
+
+
+def apply(rho: np.ndarray, gate: np.ndarray, qubits: list[int], n: int) -> np.ndarray:
+    """Act with a real or complex ``gate`` on ``qubits``: op rho op^dagger."""
+    op = embed(gate, qubits, n)
+    return op @ rho @ op.conj().T
 
 
 def product_state(rho_a: np.ndarray, qubits_a: list[int], rho_b: np.ndarray,
@@ -125,9 +87,8 @@ def depolarize_pair(rho: np.ndarray, q1: int, q2: int, p2: float, n: int) -> np.
 
 def project_qubit(rho: np.ndarray, q: int, value: int, n: int) -> np.ndarray:
     """Project qubit ``q`` onto |value> and remove it (unnormalized result)."""
-    dim = 1 << n
-    idx = [i for i in range(dim) if _bit(i, q, n) == value]
-    return rho[np.ix_(idx, idx)]
+    tensor = rho.reshape([2] * (2 * n)).take(value, axis=q).take(value, axis=n - 1 + q)
+    return tensor.reshape(1 << (n - 1), 1 << (n - 1))
 
 
 def simulate_purify_step(f1: float, f2: float, p2: float = 1.0,
@@ -144,12 +105,8 @@ def simulate_purify_step(f1: float, f2: float, p2: float = 1.0,
     n = 4  # qubit order: A1, A2, B1, B2; pair 1 = (0, 2), pair 2 = (1, 3)
     rho = product_state(werner_dm(f1), [0, 2], werner_dm(f2), [1, 3], n)
 
-    cnot_alice = embed_two_qubit(_CNOT, 0, 1, n)
-    rho = depolarize_pair(rho, 0, 1, p2, n)
-    rho = cnot_alice @ rho @ cnot_alice.T
-    cnot_bob = embed_two_qubit(_CNOT, 2, 3, n)
-    rho = depolarize_pair(rho, 2, 3, p2, n)
-    rho = cnot_bob @ rho @ cnot_bob.T
+    rho = apply(depolarize_pair(rho, 0, 1, p2, n), _CNOT, [0, 1], n)
+    rho = apply(depolarize_pair(rho, 2, 3, p2, n), _CNOT, [2, 3], n)
 
     coincide_same = eta * eta + (1.0 - eta) * (1.0 - eta)
     coincide_diff = 2.0 * eta * (1.0 - eta)
@@ -178,11 +135,8 @@ def simulate_swap_step(f1: float, f2: float, p2: float = 1.0,
     n = 4  # qubit order: A, B1, B2, C; pairs (0, 1) and (2, 3); BSM on (1, 2)
     rho = product_state(werner_dm(f1), [0, 1], werner_dm(f2), [2, 3], n)
 
-    cnot = embed_two_qubit(_CNOT, 1, 2, n)
-    rho = depolarize_pair(rho, 1, 2, p2, n)
-    rho = cnot @ rho @ cnot.T
-    had = embed_one_qubit(_HADAMARD, 1, n)
-    rho = had @ rho @ had.T
+    rho = apply(depolarize_pair(rho, 1, 2, p2, n), _CNOT, [1, 2], n)
+    rho = apply(rho, _HADAMARD, [1], n)
 
     corrections = {}
     for r1 in (0, 1):

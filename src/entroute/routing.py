@@ -213,11 +213,12 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
     ``seeds`` passes in from a caller that has it already, as route-compare
     does for its heuristic rows; without it the search computes it for every
     link cost. The answer does not depend on the seeds. Ties break toward
-    shorter paths, then lexicographic node order.
+    shorter paths, then lexicographic node order. ``cutoff`` is at most
+    ``MAX_CHAIN_HOPS``, the longest chain the optimizer plans.
     """
     _check_endpoints(net, s, d)
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    if not 1 <= cutoff <= MAX_CHAIN_HOPS:
+        raise ValueError(f"cutoff must be 1..{MAX_CHAIN_HOPS}, got {cutoff}")
     if seeds is None:
         try:
             seeds = weighted_routes(net, s, d)

@@ -466,8 +466,11 @@ def test_segment_table_and_bound_keep_their_checks():
             d_bound_by_hops(bad, PERFECT, 8, 16, MAX_CHAIN_HOPS)
     with pytest.raises(ValueError):
         chainopt._segment_table(0.9, -1, 1.0, 1.0, 8)
-    with pytest.raises(ValueError):
-        d_bound_by_hops(0.9, PERFECT, -1, 16, MAX_CHAIN_HOPS)
+    # The EGR rule of TopologySpec: integers in 1..2**64, min <= max.
+    for low, high in ((-1, 16), (0, 16), (20, 8), (True, 16), (8, True), (2.5, 16),
+                      (8, 16.0), (2**64 + 1, 2**64 + 1), (10**400, 10**400)):
+        with pytest.raises(ValueError, match="EGR"):
+            d_bound_by_hops(0.9, PERFECT, low, high, MAX_CHAIN_HOPS)
     with pytest.raises(ValueError):
         chainopt._segment_table(0.9, 16, 1.0, 0.5, 8)
     chain = Chain(egrs=(16, 16), fidelities=(0.9, 0.9))

@@ -296,6 +296,11 @@ def test_exhaustive_respects_cutoff():
     with pytest.raises(NoPathError):
         best_path_exhaustive(net, 0, 3, cutoff=2)
     assert best_path_exhaustive(net, 0, 1, cutoff=1).path == (0, 1)
+    # The optimizer plans at most MAX_CHAIN_HOPS hops; a longer cutoff is
+    # refused up front, not only when pruning fails to cut a long path.
+    for bad in (0, MAX_CHAIN_HOPS + 1):
+        with pytest.raises(ValueError, match="cutoff"):
+            best_path_exhaustive(net, 0, 3, cutoff=bad)
 
 
 def test_multipath_square_corner_limited_by_degree():
