@@ -663,3 +663,16 @@ def test_optimizer_and_bound_outputs_match_their_pinned_digest():
                                                floor=floor)).encode())
     assert digest.hexdigest() == (
         "101664e4f4f6845dd9ebe64d955c8d592790fdbebda55d7d9b6fb6591178712b")
+
+
+def test_optimizer_and_bound_unfloored_outputs_match_their_pinned_digest():
+    # sha256 of the repr of every output: any changed float, plan or tie-break
+    # changes the digest.
+    chains, bounds, _ = _pinned_digest_inputs()
+    digest = hashlib.sha256()
+    for chain, max_k, _ in chains:
+        digest.update(repr(optimize_chain(chain, max_k=max_k)).encode())
+    for f_raw, noise, min_egr, max_egr, max_hops in bounds:
+        digest.update(repr(d_bound_by_hops(f_raw, noise, min_egr, max_egr, max_hops)).encode())
+    assert digest.hexdigest() == (
+        "2745f5b019d884462859c6068f340b5faeaf2195a1d76520e3116d98162b2b49")
