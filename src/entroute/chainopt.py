@@ -239,8 +239,7 @@ def _score(covers: dict, scored: dict, bar: float, best: tuple | None):
     return best, bar
 
 
-def optimize_chain(chain: Chain, max_k: int = 8, floor: float | None = None,
-                   ) -> tuple[PurificationPlan, PlanEvaluation] | None:
+def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, PlanEvaluation]:
     """Best purification plan for ``chain`` by distillable entanglement.
 
     Exact over every segmentation and every circuit width 1..``max_k``. A
@@ -255,9 +254,9 @@ def optimize_chain(chain: Chain, max_k: int = 8, floor: float | None = None,
     Otherwise a plan's D is at most its rate, the slowest segment's, times
     d(F_c). So every segment rate r is tried as the bottleneck, fastest
     first: each slice takes its highest-W circuit with rate >= r and the DP
-    runs again. The sweep stops once r * d(F_c) falls below the best D found
-    (or ``floor``). Ties break toward higher fidelity, then fewer segments,
-    then smaller k-vectors, then shorter leading segments.
+    runs again. The sweep stops once r * d(F_c) falls below the best D found.
+    Ties break toward higher fidelity, then fewer segments, then smaller
+    k-vectors, then shorter leading segments.
 
     One exception: on a chain with a hop at a fixed point of the purify step
     (F = 1/4, or F = 1/2 with perfect gates), D and the delivered fidelity are
@@ -265,10 +264,6 @@ def optimize_chain(chain: Chain, max_k: int = 8, floor: float | None = None,
     full tie-break key. There, plans tie on fidelity to the last bit, and the
     per-slice highest-W choice can take a larger k whose W is higher only by
     an ulp.
-
-    With ``floor`` set, plans below it are ignored and None is returned when
-    none reaches it; a plan at exactly ``floor`` is still returned, so that
-    an outer search can break ties.
     """
     n = chain.n_hops
     if n > MAX_CHAIN_HOPS:
@@ -276,7 +271,7 @@ def optimize_chain(chain: Chain, max_k: int = 8, floor: float | None = None,
             f"chain has {n} hops; optimizer handles at most {MAX_CHAIN_HOPS}")
     noise = chain.noise
     p2, eta, swap = noise.p2, noise.eta, noise.swap_factor
-    bar = -math.inf if floor is None else floor
+    bar = -math.inf
     # Every slice's circuits (w, f_out, -k, rate), and its highest-W one, by
     # the hop the slice ends after and its length. A slice's raw fidelity and
     # minimum EGR grow hop by hop from its start: its W product is taken left
@@ -306,11 +301,9 @@ def optimize_chain(chain: Chain, max_k: int = 8, floor: float | None = None,
         best, _ = _score(states[n], {}, bar, None)
     else:
         best = None
-        # A cover first found with bottleneck r has D <= r * d(F_c), so a
-        # circuit too slow to reach the floor never becomes a bottleneck.
         reach = d_ceiling * _BOUND_SLACK
         rows = [(circuit[3], end, hops, circuit) for end, hops, circuits in tables
-                for circuit in circuits if circuit[3] * reach >= bar]
+                for circuit in circuits]
         rows.sort(key=itemgetter(0), reverse=True)
         # No plan is faster than the slowest hop's raw rate.
         top = min(chain.egrs)
@@ -333,16 +326,15 @@ def optimize_chain(chain: Chain, max_k: int = 8, floor: float | None = None,
             _cover(admitted, states, stale, swap)
             stale = n
             best, bar = _score(states[n], scored, bar, best)
-    if best is None:
-        return None
     (d_total, fid, *_), (_, neg_ks, neg_lens, rate) = best
     segments = tuple((-h, -k) for h, k in zip(neg_lens, neg_ks))
     return (PurificationPlan(segments=segments),
             PlanEvaluation(final_fidelity=fid, rate=rate, d_total=d_total))
 
 
+@lru_cache(maxsize=4096, typed=True)
 def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int,
-                    max_hops: int, floor: float | None = None) -> tuple[float, ...]:
+                    max_hops: int) -> tuple[float, ...]:
     """Upper bound on the optimal D of a uniform chain, by hop count.
 
     Entry L (0..``max_hops``) bounds ``optimize_chain(chain).d_total``
@@ -354,24 +346,19 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     bottleneck: a DP over hop count places exactly one min-EGR segment, takes
     per segment the highest-W circuit with rate >= r, and scores r * d(F).
     The bound never falls as ``min_egr`` or ``max_egr`` rises.
-
-    With ``floor`` set, bottlenecks too slow to reach it are skipped: an entry
-    at or above ``floor`` is exact, one below it only says "below floor".
     """
     if not (is_egr(min_egr) and is_egr(max_egr) and min_egr <= max_egr):
         raise ValueError("min and max EGR must be integers in 1..2**64, in order, "
                          f"got [{min_egr!r}, {max_egr!r}]")
     swap = noise.swap_factor
-    bar = -math.inf if floor is None else floor / _BOUND_SLACK
-    # D <= r, so a threshold below every entry (or the floor) raises none.
-    stop = max(bar, 0.0)
+    # D <= r, so a threshold below every entry raises none.
+    stop = 0.0
     # (rate, holds the minimum hop, hops, W * swap) for every segment circuit;
-    # only the rate depends on EGR. The stop only rises, so a row failing the
-    # sweep's stop test now is never read and is not built.
+    # only the rate depends on EGR.
     circuits, free_rows = _uniform_segments(f_raw, noise, max_egr)
-    rows = [(rate, True, hops, w_swap) for hops, w_swap, k, p_succ in circuits
-            if (rate := _rate(min_egr, k, p_succ)) * _BOUND_SLACK >= stop]
-    rows += [row for row in free_rows if row[0] * _BOUND_SLACK >= stop]
+    rows = [(_rate(min_egr, k, p_succ), True, hops, w_swap)
+            for hops, w_swap, k, p_succ in circuits]
+    rows += free_rows
     rows.sort(key=itemgetter(0), reverse=True)
     bound = [0.0] * (max_hops + 1)
     # The highest W * swap per segment length at least as fast as the
@@ -419,5 +406,5 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
                     bound[length] = max(bound[length], reach * distillable_per_pair(fid))
                     raised = True
         if raised:
-            stop = max(bar, min(bound[1:]))
+            stop = min(bound[1:])
     return tuple(bound)

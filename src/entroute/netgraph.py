@@ -94,6 +94,8 @@ class TopologySpec:
             raise ValueError("egr range bounds must be integers in 1..2**64, in order, "
                              f"got [{self.egr_min!r}, {self.egr_max!r}]")
         check_fidelity(self.raw_fidelity)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 class Network:
@@ -286,7 +288,8 @@ def network_from_json(text: str) -> Network:
     noise = _field(doc, "noise", "network")
     noise = NoiseParams(_field(noise, "p2", "noise", "number"),
                         _field(noise, "eta", "noise", "number"))
-    return Network(channels, noise=noise, seed=doc.get("seed"))
+    seed = None if doc.get("seed") is None else _field(doc, "seed", "network", "integer")
+    return Network(channels, noise=noise, seed=seed)
 
 
 def save_network(net: Network, path) -> None:

@@ -19,11 +19,15 @@ from .chainopt import (MAX_CHAIN_HOPS, PlanEvaluation, PurificationPlan,
 from .netgraph import Network
 from .werner import swap_fidelity  # noqa: F401  (rebound by bench/layers.py)
 
-# The exhaustive search's floored optimizer calls go through this name, which
-# bench/layers.py rebinds to count them apart from the unfloored ones. It
-# also rebinds routing.swap_fidelity, which routing no longer calls; both
-# names stay until bench/ changes.
-_optimize_floored = optimize_chain
+
+# The exhaustive search's optimizer calls go through this function, which
+# bench/layers.py rebinds to count them and their None results. It also
+# rebinds routing.swap_fidelity, which routing no longer calls; both names
+# stay until bench/ changes.
+def _optimize_floored(chain, floor: float):
+    """``optimize_chain(chain)``, or None when its D falls below ``floor``."""
+    result = optimize_chain(chain)
+    return None if result[1].d_total < floor else result
 
 
 class NoPathError(Exception):
@@ -175,7 +179,7 @@ def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP,
 def weighted_routes(net: Network, s, d, costs=tuple(LinkCost)) -> dict:
     """The weighted shortest path under each of ``costs``, with its best plan.
 
-    Maps each cost to (path, ``optimize_chain``'s unfloored result). Each
+    Maps each cost to (path, ``optimize_chain``'s result). Each
     distinct path is optimized once, however many costs select it. A path of
     more hops than the chain optimizer allows exists but has no plan: its
     result is None. Raises NoPathError when the destination is unreachable.
@@ -263,20 +267,18 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
         held = bounds.get(min_egr)
         if held is None:
             # The bound never falls as min EGR rises, so the nearest larger
-            # min EGR's may cut the prefix already. A held entry below the
-            # best_d it was built for only says so, and best_d never falls.
+            # min EGR's may cut the prefix already.
             larger = [egr for egr in bounds if egr > min_egr]
             if larger and bounds[min(larger)][column][hops] < best_d:
                 return True
-            bound = d_bound_by_hops(f_raw, net.noise, min_egr, top, cutoff, floor=best_d)
+            bound = d_bound_by_hops(f_raw, net.noise, min_egr, top, cutoff)
             held = bounds[min_egr] = bound, [max(bound[length:]) for length in range(cutoff + 1)]
         return held[column][hops] < best_d
 
     for path in _iter_simple_paths(net, s, d, cutoff, prune=prune):
         path = tuple(path)
         if path not in seeded:
-            consider(path, _optimize_floored(chain_from_path(net, path),
-                                             floor=best_d if best is not None else None))
+            consider(path, _optimize_floored(chain_from_path(net, path), best_d))
     if best is None:
         raise NoPathError(f"no path from {s!r} to {d!r} within {cutoff} hops")
     return best

@@ -271,22 +271,6 @@ def test_optimize_d_never_falls_when_an_egr_rises(chain, hop, rise):
     assert optimize_chain(raised)[1].d_total >= optimize_chain(chain)[1].d_total
 
 
-def test_optimize_floor_contract():
-    chain = Chain((16, 8, 32, 20), (0.95, 0.9, 0.92, 0.97), NOISY)
-    best = optimize_chain(chain)
-    d_best = best[1].d_total
-    # A tie at the floor is returned: an outer search breaks it.
-    assert optimize_chain(chain, floor=d_best) == best
-    assert optimize_chain(chain, floor=0.5 * d_best) == best
-    assert optimize_chain(chain, floor=math.nextafter(d_best, math.inf)) is None
-    # No plan distils anything: a zero floor still returns the best, any positive one nothing.
-    worthless = Chain((16, 8, 32), (0.7, 0.75, 0.7), NOISY)
-    best = optimize_chain(worthless)
-    assert best[1].d_total == 0.0
-    assert optimize_chain(worthless, floor=0.0) == best
-    assert optimize_chain(worthless, floor=math.nextafter(0.0, 1.0)) is None
-
-
 UNIFORM_CHAINS = st.tuples(st.integers(1, 10), st.floats(0.8, 0.999)).flatmap(
     lambda nf: st.builds(Chain, st.tuples(*[st.integers(1, 64)] * nf[0]),
                          st.just((nf[1],) * nf[0]),
@@ -294,8 +278,8 @@ UNIFORM_CHAINS = st.tuples(st.integers(1, 10), st.floats(0.8, 0.999)).flatmap(
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(chain=UNIFORM_CHAINS, rise=st.integers(1, 32), cut=st.floats(0.0, 1.0))
-def test_d_bound_by_hops_is_sound_monotone_and_floored(chain, rise, cut):
+@given(chain=UNIFORM_CHAINS, rise=st.integers(1, 32))
+def test_d_bound_by_hops_is_sound_and_monotone(chain, rise):
     n, low, high = chain.n_hops, min(chain.egrs), max(chain.egrs)
     f_raw = chain.fidelities[0]
     bound = d_bound_by_hops(f_raw, chain.noise, low, high, MAX_CHAIN_HOPS)
@@ -304,10 +288,6 @@ def test_d_bound_by_hops_is_sound_monotone_and_floored(chain, rise, cut):
     raised = d_bound_by_hops(f_raw, chain.noise, low + rise, max(high, low + rise),
                              MAX_CHAIN_HOPS)
     assert all(b >= a for a, b in zip(bound, raised))
-    floor = cut * max(bound)
-    floored = d_bound_by_hops(f_raw, chain.noise, low, high, MAX_CHAIN_HOPS, floor=floor)
-    for exact, entry in zip(bound, floored):
-        assert entry == exact if exact >= floor else entry < floor
 
 
 def test_d_bound_by_hops_is_tight_on_equal_egrs():
@@ -345,7 +325,7 @@ def _public_segment_table(f_raw, min_egr, p2, eta, max_k):
     return tuple(rows)
 
 
-def _d_bound_by_hops_from_tables(f_raw, noise, min_egr, max_egr, max_hops, floor=None):
+def _d_bound_by_hops_from_tables(f_raw, noise, min_egr, max_egr, max_hops):
     """``d_bound_by_hops`` as it was when each EGR had its own segment table,
     the tables built by ``_public_segment_table``."""
     swap = noise.swap_factor
@@ -357,14 +337,13 @@ def _d_bound_by_hops_from_tables(f_raw, noise, min_egr, max_egr, max_hops, floor
             rows.extend((rate, pinned, hops, w * swap) for w, _, _, rate in table)
     rows.sort(key=lambda row: row[0], reverse=True)
     slack = chainopt._BOUND_SLACK
-    bar = -math.inf if floor is None else floor / slack
     bound = [0.0] * (max_hops + 1)
     free = [0.0] * (chainopt.MAX_SEGMENT_HOPS + 1)
     held = [0.0] * (chainopt.MAX_SEGMENT_HOPS + 1)
     without = [1.0] + [0.0] * max_hops
     with_min = [0.0] * (max_hops + 1)
     i = 0
-    while i < len(rows) and rows[i][0] * slack >= max(bar, min(bound[1:], default=0.0)):
+    while i < len(rows) and rows[i][0] * slack >= min(bound[1:], default=0.0):
         threshold = rows[i][0]
         while i < len(rows) and rows[i][0] == threshold:
             _, pinned, hops, w_swap = rows[i]
@@ -401,45 +380,8 @@ def test_d_bound_by_hops_equals_the_per_egr_table_build():
         for noise in (PERFECT, NOISY, NoiseParams(0.97, 0.995)):
             for min_egr, max_egr in ((1, 1), (3, 5), (7, 9), (8, 32), (16, 16), (20, 64)):
                 for max_hops in (7, 10):
-                    top = max(_d_bound_by_hops_from_tables(f_raw, noise, min_egr, max_egr,
-                                                           max_hops))
-                    for floor in (None, 0.0, 0.3 * top, top):
-                        args = f_raw, noise, min_egr, max_egr, max_hops, floor
-                        assert d_bound_by_hops(*args) == _d_bound_by_hops_from_tables(*args)
-
-
-def _floor_at_stop(rate):
-    """A floor whose ``floor / _BOUND_SLACK`` is exactly ``rate * _BOUND_SLACK``."""
-    slack = chainopt._BOUND_SLACK
-    target = rate * slack
-    floor = target * slack
-    for _ in range(64):
-        if floor / slack == target:
-            return floor
-        floor = math.nextafter(floor, math.inf if floor / slack < target else -math.inf)
-    raise AssertionError(f"no floor puts the stop at {rate!r} * slack")
-
-
-def test_d_bound_by_hops_reads_the_row_at_its_stop_exactly():
-    # With the floor the stop, a row whose rate * slack equals it is still
-    # read: the sweep's test is >=, and a row filter must keep that row too.
-    # 8.0 is the k = 1 min-EGR row, the first one the sweep rates; 7.71...
-    # is a later one that raises entries 5..7.
-    circuits, rows = chainopt._uniform_segments(0.99, PERFECT, 32)
-    rates = {rate for rate, *_ in rows} | {purify._rate(8, k, p_succ)
-                                                for _, _, k, p_succ in circuits}
-    pinned = {
-        8.0: (0.0, 7.226857920001875, 6.8774788144603285, 6.554209422012981,
-              6.250365623162108, 5.962110005826374, 5.686935409546755, 5.423067751489296),
-        7.719870770919066: (0.0, 7.226857920001875, 6.8774788144603285, 6.554209422012981,
-                            6.250365623162108, 5.971588839239393, 5.749530650089102,
-                            5.535577012435353),
-    }
-    for rate, bound in pinned.items():
-        assert rate in rates
-        floor = _floor_at_stop(rate)
-        assert rate * chainopt._BOUND_SLACK == floor / chainopt._BOUND_SLACK
-        assert d_bound_by_hops(0.99, PERFECT, 8, 32, 7, floor=floor) == bound
+                    args = f_raw, noise, min_egr, max_egr, max_hops
+                    assert d_bound_by_hops(*args) == _d_bound_by_hops_from_tables(*args)
 
 
 def test_segment_tables_and_bound_equal_the_public_fold_bit_for_bit():
@@ -453,9 +395,8 @@ def test_segment_tables_and_bound_equal_the_public_fold_bit_for_bit():
                     args = f_raw, egr, noise.p2, noise.eta, max_k
                     assert chainopt._segment_table(*args) == _public_segment_table(*args)
             for min_egr, max_egr in ((1, 1), (3, 7), (5, 40)):
-                for floor in (None, 0.0):
-                    args = f_raw, noise, min_egr, max_egr, MAX_CHAIN_HOPS, floor
-                    assert d_bound_by_hops(*args) == _d_bound_by_hops_from_tables(*args)
+                args = f_raw, noise, min_egr, max_egr, MAX_CHAIN_HOPS
+                assert d_bound_by_hops(*args) == _d_bound_by_hops_from_tables(*args)
 
 
 def test_segment_table_and_bound_keep_their_checks():
@@ -466,7 +407,10 @@ def test_segment_table_and_bound_keep_their_checks():
             d_bound_by_hops(bad, PERFECT, 8, 16, MAX_CHAIN_HOPS)
     with pytest.raises(ValueError):
         chainopt._segment_table(0.9, -1, 1.0, 1.0, 8)
-    # The EGR rule of TopologySpec: integers in 1..2**64, min <= max.
+    # The EGR rule of TopologySpec: integers in 1..2**64, min <= max. The
+    # cache is typed, so True and 16.0 miss the entries held for 1 and 16.
+    d_bound_by_hops(0.9, PERFECT, 1, 16, MAX_CHAIN_HOPS)
+    d_bound_by_hops(0.9, PERFECT, 8, 16, MAX_CHAIN_HOPS)
     for low, high in ((-1, 16), (0, 16), (20, 8), (True, 16), (8, True), (2.5, 16),
                       (8, 16.0), (2**64 + 1, 2**64 + 1), (10**400, 10**400)):
         with pytest.raises(ValueError, match="EGR"):
@@ -548,11 +492,13 @@ def test_optimize_never_below_the_relaxation():
 
 
 def test_fidelity_keyed_caches_are_bounded():
-    caches = (chainopt._segment_table, chainopt._uniform_segments, purify._evaluate_cached)
+    caches = (chainopt._segment_table, chainopt._uniform_segments, d_bound_by_hops,
+              purify._evaluate_cached)
     maxsize = max(cache.cache_info().maxsize for cache in caches)
     for i in range(maxsize + 100):
         chainopt._segment_table(0.9 + i * 1e-6, 16, 1.0, 1.0, 8)
         chainopt._uniform_segments(0.9 + i * 1e-6, PERFECT, 16)
+        d_bound_by_hops(0.9 + i * 1e-6, PERFECT, 16, 16, 3)
     for cache in caches:
         info = cache.cache_info()
         assert info.misses >= info.maxsize + 100
@@ -617,8 +563,9 @@ def _pinned_digest_inputs():
 
     Chains of 1-10 hops with EGRs 1-64 (many below the widest k); 70% draw
     high fidelities, the rest purify fixed points and low ones; perfect and
-    noisy gates, every ``max_k``, and floors None, 0 and near the chain's
-    own D. Then the bound on a grid of EGR pairs and floors.
+    noisy gates and every ``max_k``. Then the bound on a grid of EGR pairs.
+    Each chain still carries a spare uniform draw, and the generator is
+    returned, so that the seeded draws, and with them the digest, stay fixed.
     """
     rng = random.Random(2011)
     noises = (PERFECT, NOISY, NoiseParams(0.97, 0.995))
@@ -643,26 +590,6 @@ def _pinned_digest_inputs():
             for min_egr, max_egr in ((1, 1), (1, 64), (3, 7), (8, 32), (16, 16), (29, 40)):
                 bounds.append((f_raw, noise, min_egr, max_egr, rng.choice((7, 10))))
     return chains, bounds, rng
-
-
-def test_optimizer_and_bound_outputs_match_their_pinned_digest():
-    # sha256 of the repr of every output: any changed float, plan or tie-break
-    # changes the digest.
-    chains, bounds, rng = _pinned_digest_inputs()
-    digest = hashlib.sha256()
-    for chain, max_k, cut in chains:
-        best = optimize_chain(chain, max_k=max_k)
-        digest.update(repr(best).encode())
-        d_best = best[1].d_total
-        for floor in (0.0, cut * 1.2 * d_best, d_best):
-            digest.update(repr(optimize_chain(chain, max_k=max_k, floor=floor)).encode())
-    for f_raw, noise, min_egr, max_egr, max_hops in bounds:
-        top = max(d_bound_by_hops(f_raw, noise, min_egr, max_egr, max_hops))
-        for floor in (None, 0.0, rng.uniform(0.0, 1.2) * top):
-            digest.update(repr(d_bound_by_hops(f_raw, noise, min_egr, max_egr, max_hops,
-                                               floor=floor)).encode())
-    assert digest.hexdigest() == (
-        "101664e4f4f6845dd9ebe64d955c8d592790fdbebda55d7d9b6fb6591178712b")
 
 
 def test_optimizer_and_bound_unfloored_outputs_match_their_pinned_digest():

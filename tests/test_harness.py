@@ -175,7 +175,8 @@ def test_route_compare_searches_and_optimizes_each_path_once(monkeypatch):
     config = _route_config(seeds=(1, 2, 3), gate_fidelities=(1.0, 0.99),
                            topologies=("square", "triangular"))
     searches = []  # (network, path) per shortest-path search
-    unfloored = []  # chains optimized without a floor
+    optimized = []  # chains optimized while weighted_routes runs
+    routing_now = []  # one entry per weighted_routes call under way
 
     def count_searches(search):
         def wrapper(net, *args, **kwargs):
@@ -184,25 +185,33 @@ def test_route_compare_searches_and_optimizes_each_path_once(monkeypatch):
             return path
         return wrapper
 
-    def count_unfloored(optimize):
+    def track(routes):
+        def wrapper(*args, **kwargs):
+            routing_now.append(None)
+            try:
+                return routes(*args, **kwargs)
+            finally:
+                routing_now.pop()
+        return wrapper
+
+    def count_optimized(optimize):
         def wrapper(chain, *args, **kwargs):
-            if not args and kwargs.get("floor") is None:
-                unfloored.append(chain)
+            if routing_now:
+                optimized.append(chain)
             return optimize(chain, *args, **kwargs)
         return wrapper
     for module in (routing, harness):
         monkeypatch.setattr(module, "shortest_weighted_path",
                             count_searches(module.shortest_weighted_path))
-    for module, name in ((routing, "optimize_chain"), (routing, "_optimize_floored"),
-                         (harness, "optimize_chain")):
-        monkeypatch.setattr(module, name, count_unfloored(getattr(module, name)))
+    monkeypatch.setattr(harness, "weighted_routes", track(harness.weighted_routes))
+    monkeypatch.setattr(routing, "optimize_chain", count_optimized(routing.optimize_chain))
     run_experiment(config)
     by_cell: dict[int, list] = {}
     for net, path in searches:  # searches holds every network, so ids stay unique
         by_cell.setdefault(id(net), []).append(path)
     assert len(by_cell) == 3 * 2 * 2
     assert all(len(paths) == len(config.cost_variants) for paths in by_cell.values())
-    assert len(unfloored) <= sum(len(set(paths)) for paths in by_cell.values())
+    assert 0 < len(optimized) <= sum(len(set(paths)) for paths in by_cell.values())
 
 
 def test_multipath_rows_are_cumulative():

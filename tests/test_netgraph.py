@@ -187,6 +187,9 @@ def test_export_import_round_trip():
     assert network_to_json(back) == text
     assert back.noise == net.noise
     assert back.seed == 77
+    # A network built without a seed writes null, and reads back the same.
+    unseeded = Network(net.channels(), net.noise)
+    assert network_from_json(network_to_json(unseeded)).seed is None
 
 
 def test_import_rejects_unknown_format():
@@ -227,6 +230,9 @@ def test_import_ignores_the_old_t_decoh_key():
     (json.dumps(_doc(channels=[{"u": 0.0, "v": 1, "egr": 3, "raw_fidelity": 0.9}])), "'u'"),
     (json.dumps(_doc(noise={"p2": "1", "eta": 1.0})), "p2"),
     (json.dumps({**_doc(), "channels": None}), "channels"),
+    (json.dumps(_doc(seed="abc")), "seed"),
+    (json.dumps(_doc(seed=2.5)), "seed"),
+    (json.dumps(_doc(seed=True)), "seed"),
 ])
 def test_import_rejects_malformed_documents_naming_the_field(text, field):
     with pytest.raises(ValueError, match=field):
@@ -255,6 +261,10 @@ def test_spec_validation():
     for lo, hi in ((8.0, 32), (8, 32.5), (True, 32)):
         with pytest.raises(ValueError, match="integers"):
             TopologySpec("square", (3, 3), lo, hi, 0.99, seed=1)
+    # The generator's splitmix64 stream masks the seed as a 64-bit integer.
+    for seed in (1.5, "1", None, True):
+        with pytest.raises(ValueError, match="seed"):
+            TopologySpec("square", (3, 4), 8, 32, 0.9, seed)
     with pytest.raises(ValueError):
         Channel(2, 2, 10, 0.9)
     with pytest.raises(ValueError):

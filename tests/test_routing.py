@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from entroute import routing
-from entroute.chainopt import MAX_CHAIN_HOPS, chain_from_path, optimize_chain
+from entroute.chainopt import MAX_CHAIN_HOPS, Chain, chain_from_path, optimize_chain
 from entroute.netgraph import (Channel, Network, TopologySpec, default_extent,
                                endpoints_for_separation, generate_network)
 from entroute.routing import (LinkCost, NoPathError, RoutedPath, best_path_exhaustive,
@@ -276,6 +277,22 @@ def test_exhaustive_does_not_optimize_a_seed_of_exactly_cutoff_hops_again(monkey
         raise AssertionError("the search optimized a seeded path")
     monkeypatch.setattr(routing, "_optimize_floored", optimized_again)
     assert best_path_exhaustive(line, 0, 3, 3, seeds).path == (0, 1, 2, 3)
+
+
+def test_optimize_floored_contract():
+    chain = Chain((16, 8, 32, 20), (0.95, 0.9, 0.92, 0.97), NOISY)
+    best = optimize_chain(chain)
+    d_best = best[1].d_total
+    # A tie at the floor is returned: the search breaks it.
+    assert routing._optimize_floored(chain, d_best) == best
+    assert routing._optimize_floored(chain, 0.5 * d_best) == best
+    assert routing._optimize_floored(chain, math.nextafter(d_best, math.inf)) is None
+    # No plan distils anything: a zero floor still returns the best, any positive one nothing.
+    worthless = Chain((16, 8, 32), (0.7, 0.75, 0.7), NOISY)
+    best = optimize_chain(worthless)
+    assert best[1].d_total == 0.0
+    assert routing._optimize_floored(worthless, 0.0) == best
+    assert routing._optimize_floored(worthless, math.nextafter(0.0, 1.0)) is None
 
 
 def test_exhaustive_tie_prefers_shorter_then_lexicographic():
