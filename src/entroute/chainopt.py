@@ -350,6 +350,8 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     if not (is_egr(min_egr) and is_egr(max_egr) and min_egr <= max_egr):
         raise ValueError("min and max EGR must be integers in 1..2**64, in order, "
                          f"got [{min_egr!r}, {max_egr!r}]")
+    if not (type(max_hops) is int and 1 <= max_hops <= MAX_CHAIN_HOPS):
+        raise ValueError(f"max_hops must be an integer in 1..{MAX_CHAIN_HOPS}, got {max_hops!r}")
     swap = noise.swap_factor
     # D <= r, so a threshold below every entry raises none.
     stop = 0.0

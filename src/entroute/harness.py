@@ -23,8 +23,7 @@ from .chainopt import MAX_CHAIN_HOPS, Chain, optimize_chain
 from .netgraph import (GENERATOR_NAME, LATTICE_KINDS, MAX_EGR, TopologySpec,
                        default_extent, endpoints_for_separation,
                        generate_network, scaled_egr_range)
-from .routing import (LinkCost, NoPathError, best_path_exhaustive, multipath_greedy,
-                      weighted_routes)
+from .routing import LinkCost, best_path_exhaustive, multipath_greedy, weighted_routes
 from .routing import shortest_weighted_path  # noqa: F401  (rebound by bench/layers.py)
 from .werner import NoiseParams
 
@@ -259,15 +258,11 @@ def _route_rows(config, seed, gate, channel, topology) -> list[ResultRow]:
     net, s, d = _network(config, seed, gate, channel, topology, config.egr_range)
     cell = (config, seed, topology, gate, channel)
     mean_egr = net.mean_channel_egr()
-    try:
-        routes = weighted_routes(net, s, d, costs)
-    except NoPathError:
-        routes = {}
+    routes = weighted_routes(net, s, d, costs)
     rows = []
     if config.include_exhaustive:
-        try:
-            routed = best_path_exhaustive(net, s, d, config.cutoff, routes)
-        except NoPathError:
+        routed = best_path_exhaustive(net, s, d, config.cutoff, routes)
+        if routed is None:
             rows.append(_row(*cell, "exhaustive"))
         else:
             rows.append(_row(*cell, "exhaustive", len(routed.path) - 1,

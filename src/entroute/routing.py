@@ -30,10 +30,6 @@ def _optimize_floored(chain, floor: float):
     return None if result[1].d_total < floor else result
 
 
-class NoPathError(Exception):
-    """No usable path exists between the requested endpoints."""
-
-
 class LinkCost(str, Enum):
     """Pluggable channel cost for weighted shortest-path search."""
 
@@ -135,11 +131,11 @@ def enumerate_paths(net: Network, s, d, cutoff: int = 10) -> list[list[int]]:
 
 
 def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP,
-                           excluded: frozenset = frozenset()) -> list[int]:
+                           excluded: frozenset = frozenset()) -> list[int] | None:
     """Minimum-total-cost path under the chosen link cost.
 
     Ties break toward fewer hops, then the lexicographically smallest node
-    sequence. Raises NoPathError when the destination is unreachable. Each
+    sequence. Returns None when the destination is unreachable. Each
     relaxation reads the (peer, EGR) pairs of ``net.peers``; a channel's
     (u, v) key is built only to test it against a non-empty ``excluded``.
     """
@@ -173,21 +169,24 @@ def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP,
                 continue
             pushed[v] = reached
             heappush(heap, (reached, hops + 1, path + (v,)))
-    raise NoPathError(f"no path from {s!r} to {d!r}")
+    return None
 
 
 def weighted_routes(net: Network, s, d, costs=tuple(LinkCost)) -> dict:
     """The weighted shortest path under each of ``costs``, with its best plan.
 
-    Maps each cost to (path, ``optimize_chain``'s result). Each
-    distinct path is optimized once, however many costs select it. A path of
-    more hops than the chain optimizer allows exists but has no plan: its
-    result is None. Raises NoPathError when the destination is unreachable.
+    Maps each cost to (path, ``optimize_chain``'s result). Each distinct path
+    is optimized once, however many costs select it. A path of more hops than
+    the chain optimizer allows exists but has no plan: its result is None.
+    Reachability does not depend on the cost, so an unreachable ``d`` gives {}.
     """
     plans: dict[tuple[int, ...], tuple | None] = {}
     routes = {}
     for cost in costs:
-        path = tuple(shortest_weighted_path(net, s, d, cost))
+        path = shortest_weighted_path(net, s, d, cost)
+        if path is None:
+            return {}
+        path = tuple(path)
         if path not in plans:
             plans[path] = (optimize_chain(chain_from_path(net, path))
                            if len(path) - 1 <= MAX_CHAIN_HOPS else None)
@@ -196,7 +195,7 @@ def weighted_routes(net: Network, s, d, costs=tuple(LinkCost)) -> dict:
 
 
 def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
-                         seeds: dict | None = None) -> RoutedPath:
+                         seeds: dict | None = None) -> RoutedPath | None:
     """Optimize every simple path within the cutoff and return the best.
 
     The maximum is exact: a DFS prefix, and with it every path through it,
@@ -218,22 +217,20 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
     does for its heuristic rows; without it the search computes it for every
     link cost. The answer does not depend on the seeds. Ties break toward
     shorter paths, then lexicographic node order. ``cutoff`` is at most
-    ``MAX_CHAIN_HOPS``, the longest chain the optimizer plans.
+    ``MAX_CHAIN_HOPS``, the longest chain the optimizer plans. Returns None
+    when no path lies within the cutoff.
     """
     _check_endpoints(net, s, d)
     if not 1 <= cutoff <= MAX_CHAIN_HOPS:
         raise ValueError(f"cutoff must be 1..{MAX_CHAIN_HOPS}, got {cutoff}")
     if seeds is None:
-        try:
-            seeds = weighted_routes(net, s, d)
-        except NoPathError:
-            seeds = {}
+        seeds = weighted_routes(net, s, d)
     links = net.links.values()
     fidelities = {raw_fidelity for _, raw_fidelity in links}
     f_raw = fidelities.pop() if len(fidelities) == 1 else None
     top = max(egr for egr, _ in links)
-    # min EGR -> (its bound by hop count, the bound's suffix maxima)
-    bounds: dict[int, tuple[tuple[float, ...], list[float]]] = {}
+    # min EGR -> its bound's suffix maxima: entry L bounds every length >= L
+    bounds: dict[int, list[float]] = {}
 
     best: RoutedPath | None = None
     best_d = -1.0
@@ -262,25 +259,21 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
         if f_raw is None or best is None:
             return False
         hops = hops_used + hops_to_go
-        # With no hops to go the prefix is a whole path of exactly that length.
-        column = 0 if hops_to_go == 0 else 1
         held = bounds.get(min_egr)
         if held is None:
             # The bound never falls as min EGR rises, so the nearest larger
             # min EGR's may cut the prefix already.
             larger = [egr for egr in bounds if egr > min_egr]
-            if larger and bounds[min(larger)][column][hops] < best_d:
+            if larger and bounds[min(larger)][hops] < best_d:
                 return True
             bound = d_bound_by_hops(f_raw, net.noise, min_egr, top, cutoff)
-            held = bounds[min_egr] = bound, [max(bound[length:]) for length in range(cutoff + 1)]
-        return held[column][hops] < best_d
+            held = bounds[min_egr] = [max(bound[length:]) for length in range(cutoff + 1)]
+        return held[hops] < best_d
 
     for path in _iter_simple_paths(net, s, d, cutoff, prune=prune):
         path = tuple(path)
         if path not in seeded:
             consider(path, _optimize_floored(chain_from_path(net, path), best_d))
-    if best is None:
-        raise NoPathError(f"no path from {s!r} to {d!r} within {cutoff} hops")
     return best
 
 
@@ -303,11 +296,8 @@ def multipath_greedy(net: Network, s, d, max_paths: int,
     cumulative: list[float] = []
     total = 0.0
     for _ in range(max_paths):
-        try:
-            path = shortest_weighted_path(net, s, d, cost, frozenset(excluded))
-        except NoPathError:
-            break
-        if len(path) - 1 > MAX_CHAIN_HOPS:
+        path = shortest_weighted_path(net, s, d, cost, frozenset(excluded))
+        if path is None or len(path) - 1 > MAX_CHAIN_HOPS:
             break
         plan, evaluation = optimize_chain(chain_from_path(net, path))
         total += evaluation.d_total

@@ -31,10 +31,10 @@ class NoiseParams:
     eta: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.p2 <= 1.0:
-            raise ValueError(f"p2 must be in (0, 1], got {self.p2}")
-        if not 0.5 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0.5, 1], got {self.eta}")
+        if self.p2 is True or not 0.0 < self.p2 <= 1.0:
+            raise ValueError(f"p2 must be a number in (0, 1], got {self.p2!r}")
+        if self.eta is True or not 0.5 < self.eta <= 1.0:
+            raise ValueError(f"eta must be a number in (0.5, 1], got {self.eta!r}")
 
     @property
     def swap_factor(self) -> float:
@@ -49,10 +49,10 @@ def check_fidelity(f: float) -> float:
     """Validate a Werner fidelity; returns it unchanged.
 
     Fidelities outside [0.25, 1] cannot arise from valid operations on valid
-    states, so they are rejected rather than clamped.
+    states, so they are rejected rather than clamped; so is a bool.
     """
-    if not F_MIN <= f <= 1.0:
-        raise ValueError(f"Werner fidelity must be in [0.25, 1], got {f}")
+    if f is True or not F_MIN <= f <= 1.0:
+        raise ValueError(f"Werner fidelity must be a number in [0.25, 1], got {f!r}")
     return f
 
 

@@ -129,6 +129,8 @@ def test_chain_validation():
         Chain((0,), (0.9,))
     with pytest.raises(ValueError):
         Chain((10,), (0.1,))
+    with pytest.raises(ValueError, match="fidelity"):
+        Chain((8,), (True,))
     for egr in (True, 2.5, 2**64 + 1):
         with pytest.raises(ValueError, match="egr"):
             Chain((10, egr), (0.9, 0.9))
@@ -415,6 +417,12 @@ def test_segment_table_and_bound_keep_their_checks():
                       (8, 16.0), (2**64 + 1, 2**64 + 1), (10**400, 10**400)):
         with pytest.raises(ValueError, match="EGR"):
             d_bound_by_hops(0.9, PERFECT, low, high, MAX_CHAIN_HOPS)
+    # The search passes its cutoff, checked to 1..MAX_CHAIN_HOPS; the bound
+    # keeps the same rule, and the typed cache keeps True apart from 1.
+    d_bound_by_hops(0.9, PERFECT, 8, 16, 1)
+    for bad_hops in (0, -1, True, 2.5, MAX_CHAIN_HOPS + 1):
+        with pytest.raises(ValueError, match="max_hops"):
+            d_bound_by_hops(0.9, PERFECT, 8, 16, bad_hops)
     with pytest.raises(ValueError):
         chainopt._segment_table(0.9, 16, 1.0, 0.5, 8)
     chain = Chain(egrs=(16, 16), fidelities=(0.9, 0.9))

@@ -19,7 +19,7 @@ from entroute.harness import (EXPERIMENT_KINDS, MAX_SEED_COUNT, ConfigError,
                               run_experiment, write_results)
 from entroute.netgraph import (LATTICE_KINDS, MAX_EGR, TopologySpec, generate_network,
                                endpoints_for_separation)
-from entroute.routing import LinkCost, NoPathError, best_path_exhaustive, shortest_weighted_path
+from entroute.routing import LinkCost, best_path_exhaustive, shortest_weighted_path
 from entroute.werner import NoiseParams
 
 
@@ -131,17 +131,15 @@ def _route_rows_one_search_per_variant(config):
                                          evaluation.final_fidelity, evaluation.d_total,
                                          evaluation.d_total / scale)
                     if config.include_exhaustive:
-                        try:
-                            best = best_path_exhaustive(net, s, d, config.cutoff)
-                        except NoPathError:
+                        best = best_path_exhaustive(net, s, d, config.cutoff)
+                        if best is None:
                             rows.append(row("exhaustive"))
                         else:
                             rows.append(row("exhaustive", len(best.path) - 1,
                                             (best.plan, best.evaluation)))
                     for variant in config.cost_variants:
-                        try:
-                            path = shortest_weighted_path(net, s, d, LinkCost(variant))
-                        except NoPathError:
+                        path = shortest_weighted_path(net, s, d, LinkCost(variant))
+                        if path is None:
                             rows.append(row(variant))
                             continue
                         hops = len(path) - 1

@@ -272,6 +272,12 @@ def test_spec_validation():
     for egr in ("3", 3.5, 3.0, True):
         with pytest.raises(ValueError, match="egr"):
             Channel(0, 1, egr, 0.9)
+    # True passes the range test as 1, but network_to_json would write it as
+    # `true`, which network_from_json refuses as a fidelity.
+    with pytest.raises(ValueError, match="fidelity"):
+        Channel(0, 1, 8, True)
+    with pytest.raises(ValueError, match="fidelity"):
+        TopologySpec("square", (2, 2), 8, 8, True, 1)
 
 
 def test_channel_endpoints_canonicalized():

@@ -8,7 +8,7 @@ from entroute import routing
 from entroute.chainopt import MAX_CHAIN_HOPS, Chain, chain_from_path, optimize_chain
 from entroute.netgraph import (Channel, Network, TopologySpec, default_extent,
                                endpoints_for_separation, generate_network)
-from entroute.routing import (LinkCost, NoPathError, RoutedPath, best_path_exhaustive,
+from entroute.routing import (LinkCost, RoutedPath, best_path_exhaustive,
                               enumerate_paths, multipath_greedy,
                               shortest_weighted_path, weighted_routes)
 from entroute.werner import NoiseParams, PERFECT
@@ -96,10 +96,20 @@ def test_diamond_link_costs():
     assert LinkCost.INV_EGR_SQ.edge_cost(32) * 3 == pytest.approx(0.00293, abs=5e-6)
 
 
-def test_dijkstra_raises_when_unreachable():
+def test_dijkstra_returns_none_when_unreachable():
     net = _net([(0, 1, 10), (2, 3, 10)])
-    with pytest.raises(NoPathError):
-        shortest_weighted_path(net, 0, 3)
+    assert shortest_weighted_path(net, 0, 3) is None
+
+
+def test_every_search_answers_an_unreachable_destination_with_its_empty_value():
+    # Two components: no search finds a route, and none raises.
+    net = _net([(0, 1, 10), (1, 2, 12), (0, 2, 9), (3, 4, 10), (4, 5, 16)])
+    for s, d in ((0, 5), (4, 1)):
+        for cost in LinkCost:
+            assert shortest_weighted_path(net, s, d, cost) is None
+        assert weighted_routes(net, s, d) == {}
+        assert best_path_exhaustive(net, s, d) is None
+        assert multipath_greedy(net, s, d, 4) == ([], [])
 
 
 def _brute_force_best(net, s, d, cost):
@@ -162,8 +172,7 @@ def test_weighted_routes_beyond_the_chain_cap_have_no_plan():
     path = tuple(range(MAX_CHAIN_HOPS + 1))
     assert weighted_routes(line, 0, MAX_CHAIN_HOPS, (LinkCost.HOP,)) == {
         LinkCost.HOP: (path, optimize_chain(chain_from_path(line, path)))}
-    with pytest.raises(NoPathError):
-        weighted_routes(_net([(0, 1, 10), (2, 3, 10)]), 0, 3)
+    assert weighted_routes(_net([(0, 1, 10), (2, 3, 10)]), 0, 3) == {}
 
 
 def test_exhaustive_answer_does_not_depend_on_its_seeds():
@@ -302,16 +311,14 @@ def test_exhaustive_tie_prefers_shorter_then_lexicographic():
     assert list(best.path) == [0, 1, 3]
 
 
-def test_exhaustive_no_path_raises():
+def test_exhaustive_no_path_returns_none():
     net = _net([(0, 1, 10), (2, 3, 10)])
-    with pytest.raises(NoPathError):
-        best_path_exhaustive(net, 0, 3)
+    assert best_path_exhaustive(net, 0, 3) is None
 
 
 def test_exhaustive_respects_cutoff():
     net = _net([(0, 1, 10), (1, 2, 10), (2, 3, 10)])
-    with pytest.raises(NoPathError):
-        best_path_exhaustive(net, 0, 3, cutoff=2)
+    assert best_path_exhaustive(net, 0, 3, cutoff=2) is None
     assert best_path_exhaustive(net, 0, 1, cutoff=1).path == (0, 1)
     # The optimizer plans at most MAX_CHAIN_HOPS hops; a longer cutoff is
     # refused up front, not only when pruning fails to cut a long path.

@@ -45,6 +45,11 @@ def test_noise_params_validation():
         NoiseParams(1.0, 1.5)
     with pytest.raises(ValueError, match="eta"):
         NoiseParams(0.99, 0.5)
+    # True passes each range test as 1; network JSON would write it as `true`.
+    with pytest.raises(ValueError, match="p2"):
+        NoiseParams(True, 1.0)
+    with pytest.raises(ValueError, match="eta"):
+        NoiseParams(1.0, True)
     assert PERFECT.swap_factor == 1.0
 
 
