@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -204,6 +205,44 @@ def test_exhaustive_matches_brute_force_in_the_benchmark_regime():
         d_total, path = _brute_force_exhaustive(net, s, d, 7)
         assert (best.evaluation.d_total, list(best.path)) == (d_total, path)
         assert best == RoutedPath(tuple(path), *optimize_chain(chain_from_path(net, path)))
+
+
+def _decision_digest_networks():
+    """Seeded lattices for the pinned decision digest: the benchmark regime
+    (triangular, hop 3, cutoff 7, EGR 8-32, F 0.99, perfect gates), then noisy
+    gates, then mixed raw fidelities, where only the min-EGR bound prunes."""
+    extent = default_extent(3)
+    for seed in range(1, 61):
+        yield generate_network(TopologySpec("triangular", extent, 8, 32, 0.99, seed=seed))
+    for seed in range(61, 71):
+        yield generate_network(TopologySpec("triangular", extent, 8, 32, 0.99, seed=seed), NOISY)
+    for seed in range(71, 74):
+        yield _mixed_fidelity(generate_network(
+            TopologySpec("triangular", extent, 8, 32, 0.99, seed=seed)), seed)
+
+
+def test_exhaustive_search_decisions_match_their_pinned_digest(monkeypatch):
+    # sha256 over the repr of every (path, floor) the search hands to
+    # _optimize_floored, in order, and of every answer: a changed pruning
+    # decision, optimizer call, floor or tie-break changes the digest.
+    s, d = endpoints_for_separation(default_extent(3), 3)
+    digest = hashlib.sha256()
+    last_path = []
+
+    def chain_of(net, path):
+        last_path[:] = [tuple(path)]
+        return chain_from_path(net, path)
+
+    def optimize(chain, floor):
+        digest.update(repr((last_path[0], floor)).encode())
+        return optimize_floored(chain, floor)
+    optimize_floored = routing._optimize_floored
+    monkeypatch.setattr(routing, "chain_from_path", chain_of)
+    monkeypatch.setattr(routing, "_optimize_floored", optimize)
+    for net in _decision_digest_networks():
+        digest.update(repr(best_path_exhaustive(net, s, d, 7)).encode())
+    assert digest.hexdigest() == (
+        "b6ff704d6436a6805b997e4b68a3fbe644e67cbd87d360b697212e7c6d9d6991")
 
 
 def test_exhaustive_on_chain_equals_dijkstra():
