@@ -362,6 +362,11 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
             for hops, w_swap, k, p_succ in circuits]
     rows += free_rows
     rows.sort(key=itemgetter(0), reverse=True)
+    # Below any stop: it closes the last threshold group and ends the sweep.
+    rows.append((-1.0, False, 0, 0.0))
+    # The (rest, segment hops) splits that cover each length.
+    splits = [[(length - hops, hops) for hops in range(1, min(MAX_SEGMENT_HOPS, length) + 1)]
+              for length in range(max_hops + 1)]
     bound = [0.0] * (max_hops + 1)
     # The highest W * swap per segment length at least as fast as the
     # current threshold, for segments rated at max_egr (free) and at min_egr
@@ -372,41 +377,42 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     # min-EGR segment, at the current threshold.
     without = [1.0] + [0.0] * max_hops
     with_min = [0.0] * (max_hops + 1)
-    i = 0
-    while i < len(rows) and rows[i][0] * _BOUND_SLACK >= stop:
-        threshold = rows[i][0]
-        while i < len(rows) and rows[i][0] == threshold:
-            _, pinned, hops, w_swap = rows[i]
-            i += 1
-            admitted = held if pinned else free
-            if w_swap > admitted[hops]:
-                admitted[hops] = w_swap
-        if threshold > min_egr:
-            continue  # no segment holding the minimum hop is this fast
-        reach = threshold * _BOUND_SLACK
-        raised = False
-        for length in range(1, max_hops + 1):
-            best_without = best_with = 0.0
-            for hops in range(1, min(MAX_SEGMENT_HOPS, length) + 1):
-                rest = length - hops
-                value = without[rest] * free[hops]
-                if value > best_without:
-                    best_without = value
-                value = with_min[rest] * free[hops]
-                pinned = without[rest] * held[hops]
-                if pinned > value:
-                    value = pinned
-                if value > best_with:
-                    best_with = value
-            without[length] = best_without
-            # Products only rise as the threshold falls; one that did not
-            # rise scores lower than at the last threshold.
-            if best_with > with_min[length]:
-                with_min[length] = best_with
-                if reach > bound[length]:
-                    fid = min(1.0, 0.25 + 0.75 * best_with / swap)
-                    bound[length] = max(bound[length], reach * distillable_per_pair(fid))
-                    raised = True
-        if raised:
-            stop = min(bound[1:])
+    threshold = math.inf
+    for rate, pinned, hops, w_swap in rows:
+        if rate != threshold:
+            # Every row at the threshold is admitted: score it, unless no
+            # segment holding the minimum hop is that fast.
+            if threshold <= min_egr:
+                reach = threshold * _BOUND_SLACK
+                raised = False
+                for length in range(1, max_hops + 1):
+                    best_without = best_with = 0.0
+                    for rest, seg in splits[length]:
+                        value = without[rest] * free[seg]
+                        if value > best_without:
+                            best_without = value
+                        value = with_min[rest] * free[seg]
+                        pin = without[rest] * held[seg]
+                        if pin > value:
+                            value = pin
+                        if value > best_with:
+                            best_with = value
+                    without[length] = best_without
+                    # Products only rise as the threshold falls; one that did
+                    # not rise scores lower than at the last threshold.
+                    if best_with > with_min[length]:
+                        with_min[length] = best_with
+                        if reach > bound[length]:
+                            fid = min(1.0, 0.25 + 0.75 * best_with / swap)
+                            bound[length] = max(bound[length],
+                                                reach * distillable_per_pair(fid))
+                            raised = True
+                if raised:
+                    stop = min(bound[1:])
+            if rate * _BOUND_SLACK < stop:
+                break
+            threshold = rate
+        admitted = held if pinned else free
+        if w_swap > admitted[hops]:
+            admitted[hops] = w_swap
     return tuple(bound)

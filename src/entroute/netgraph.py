@@ -156,20 +156,20 @@ class Network:
 
 
 def _lattice_edges(kind: str, rows: int, cols: int) -> list[tuple[int, int]]:
-    def node(r, c):
-        return r * cols + c
-
+    """Every channel of the lattice, in ascending key order: for ascending
+    node u, (u, u + 1), then (u, u + cols), then (u, u + cols + 1)."""
     edges = []
     for r in range(rows):
         for c in range(cols):
+            u = r * cols + c
             if c + 1 < cols:
-                edges.append((node(r, c), node(r, c + 1)))
+                edges.append((u, u + 1))
             if r + 1 < rows:
                 if kind != "hexagonal" or (r + c) % 2 == 0:
-                    edges.append((node(r, c), node(r + 1, c)))
-            if kind == "triangular" and r + 1 < rows and c + 1 < cols:
-                edges.append((node(r, c), node(r + 1, c + 1)))
-    return sorted(edges)
+                    edges.append((u, u + cols))
+                if kind == "triangular" and c + 1 < cols:
+                    edges.append((u, u + cols + 1))
+    return edges
 
 
 def generate_network(spec: TopologySpec, noise: NoiseParams = PERFECT) -> Network:

@@ -125,8 +125,8 @@ def enumerate_paths(net: Network, s, d, cutoff: int = 10) -> list[list[int]]:
     once, in deterministic lexicographic order. Disconnected endpoints give
     an empty list."""
     _check_endpoints(net, s, d)
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    if type(cutoff) is not int or cutoff < 1:
+        raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
     return list(_iter_simple_paths(net, s, d, cutoff))
 
 
@@ -135,12 +135,28 @@ def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP,
     """Minimum-total-cost path under the chosen link cost.
 
     Ties break toward fewer hops, then the lexicographically smallest node
-    sequence. Returns None when the destination is unreachable. Each
-    relaxation reads the (peer, EGR) pairs of ``net.peers``; a channel's
-    (u, v) key is built only to test it against a non-empty ``excluded``.
+    sequence. Returns None when the destination is unreachable. The
+    fewest-hop path with nothing excluded is walked down the hop distances of
+    one BFS from d. Otherwise each Dijkstra relaxation reads the (peer, EGR)
+    pairs of ``net.peers``; a channel's (u, v) key is built only to test it
+    against a non-empty ``excluded``.
     """
     _check_endpoints(net, s, d)
     peers = net.peers
+    if cost is LinkCost.HOP and not excluded:
+        # Under unit costs that tie-break picks the lexicographically
+        # smallest fewest-hop path: from s, step to the smallest peer one hop
+        # closer to d. Every peer of a node d reaches is in the BFS.
+        dist = _bfs_hops(net, d)
+        if s not in dist:
+            return None
+        path = [s]
+        u = s
+        while u != d:
+            closer = dist[u] - 1
+            u = next(v for v, _ in peers[u] if dist[v] == closer)
+            path.append(u)
+        return path
     weights = {}  # edge cost by EGR
     heap = [(0.0, 0, (s,))]
     # The least total pushed per node. A label above it can never be the
@@ -207,8 +223,9 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
     maximum EGR, which bounds rate and fidelity together, and a prefix is cut
     when no reachable path length beats the best D. That bound never falls
     as the minimum EGR rises, and the best D never falls; so a minimum EGR
-    whose bound is not yet held first reads the bound held for the nearest
-    larger one, and a prefix that bound already cuts costs no new bound.
+    whose bound is not yet held first reads the bounds held for the nearest
+    larger and smaller ones, and a prefix that the larger one already cuts,
+    or the smaller one already lets through, costs no new bound.
     A network of mixed raw fidelities uses the first bound only.
 
     The search starts from the weighted shortest paths and their plans, so
@@ -221,8 +238,8 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
     when no path lies within the cutoff.
     """
     _check_endpoints(net, s, d)
-    if not 1 <= cutoff <= MAX_CHAIN_HOPS:
-        raise ValueError(f"cutoff must be 1..{MAX_CHAIN_HOPS}, got {cutoff}")
+    if not (type(cutoff) is int and 1 <= cutoff <= MAX_CHAIN_HOPS):
+        raise ValueError(f"cutoff must be an integer in 1..{MAX_CHAIN_HOPS}, got {cutoff!r}")
     if seeds is None:
         seeds = weighted_routes(net, s, d)
     links = net.links.values()
@@ -262,10 +279,19 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
         held = bounds.get(min_egr)
         if held is None:
             # The bound never falls as min EGR rises, so the nearest larger
-            # min EGR's may cut the prefix already.
-            larger = [egr for egr in bounds if egr > min_egr]
-            if larger and bounds[min(larger)][hops] < best_d:
+            # min EGR's may cut the prefix already, and the nearest smaller
+            # one's may let it through already.
+            larger = smaller = None
+            for egr in bounds:
+                if egr > min_egr:
+                    if larger is None or egr < larger:
+                        larger = egr
+                elif smaller is None or egr > smaller:
+                    smaller = egr
+            if larger is not None and bounds[larger][hops] < best_d:
                 return True
+            if smaller is not None and bounds[smaller][hops] >= best_d:
+                return False
             bound = d_bound_by_hops(f_raw, net.noise, min_egr, top, cutoff)
             held = bounds[min_egr] = [max(bound[length:]) for length in range(cutoff + 1)]
         return held[hops] < best_d
@@ -289,8 +315,8 @@ def multipath_greedy(net: Network, s, d, max_paths: int,
     entanglement after each path.
     """
     _check_endpoints(net, s, d)
-    if max_paths < 1:
-        raise ValueError(f"max_paths must be >= 1, got {max_paths}")
+    if type(max_paths) is not int or max_paths < 1:
+        raise ValueError(f"max_paths must be an integer >= 1, got {max_paths!r}")
     excluded: set = set()
     routed: list[RoutedPath] = []
     cumulative: list[float] = []

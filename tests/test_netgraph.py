@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from collections import deque
 from statistics import mean
@@ -103,10 +104,12 @@ def test_generated_networks_match_their_pinned_digest():
 
 
 def test_generated_network_equals_one_built_from_its_channels(monkeypatch):
-    for kind in LATTICE_KINDS:
+    # Generation emits its channels in key order without a sort. A one-row
+    # extent has no down channel, a one-column one no right or diagonal one.
+    for kind, extent in itertools.product(LATTICE_KINDS, ((4, 6), (1, 5), (5, 1), (2, 2))):
         with monkeypatch.context() as patch:
             patch.setattr(netgraph, "Channel", None)  # generation builds none
-            net = generate_network(TopologySpec(kind, (4, 6), 3, 21, 0.93, seed=11),
+            net = generate_network(TopologySpec(kind, extent, 3, 21, 0.93, seed=11),
                                    NoiseParams(0.99, 0.98))
         again = Network(reversed(net.channels()), net.noise, net.seed)
         assert again.nodes == net.nodes

@@ -78,8 +78,9 @@ def test_enumerate_validates_endpoints():
         enumerate_paths(net, 0, 0)
     with pytest.raises(ValueError):
         enumerate_paths(net, 0, 5)
-    with pytest.raises(ValueError):
-        enumerate_paths(net, 0, 1, cutoff=0)
+    for bad in (0, 3.0, True):
+        with pytest.raises(ValueError, match="cutoff"):
+            enumerate_paths(net, 0, 1, cutoff=bad)
 
 
 DIAMOND = [(0, 1, 8), (1, 4, 8), (0, 2, 32), (2, 3, 32), (3, 4, 32)]
@@ -113,12 +114,17 @@ def test_every_search_answers_an_unreachable_destination_with_its_empty_value():
         assert multipath_greedy(net, s, d, 4) == ([], [])
 
 
-def _brute_force_best(net, s, d, cost):
+def _brute_force_best(net, paths, cost, excluded=frozenset()):
+    # The least (total, hops, path) key over the paths that use no excluded
+    # channel; None when every path does.
     best = None
-    for path in _all_simple_paths_reference(net, s, d, cutoff=len(net.nodes)):
+    for path in paths:
+        keys = [(u, v) if u < v else (v, u) for u, v in zip(path, path[1:])]
+        if excluded.intersection(keys):
+            continue
         total = 0.0
-        for u, v in zip(path, path[1:]):
-            total += cost.edge_cost(net.channel(u, v).egr)
+        for key in keys:
+            total += cost.edge_cost(net.links[key][0])
         key = (total, len(path) - 1, tuple(path))
         if best is None or key < best:
             best = key
@@ -126,24 +132,45 @@ def _brute_force_best(net, s, d, cost):
 
 
 def test_dijkstra_optimal_on_random_graphs():
+    # Random endpoints on random graphs, some with gaps in their node ids and
+    # some in two components, whose first draw joins the two. The last draw
+    # per graph excludes some channels. Fewest hops with nothing excluded
+    # (the BFS branch) and every other search (Dijkstra) must both meet the
+    # brute-force key, and return None exactly when no path is left.
     rng = random.Random(19)
-    for _ in range(40):
+    for trial in range(60):
         n = rng.randint(4, 12)
-        edges = []
-        nodes = list(range(n))
-        for u, v in itertools.combinations(nodes, 2):
-            if rng.random() < 0.35:
-                edges.append((u, v, rng.randint(1, 32)))
-        for u in nodes[1:]:  # spanning chain keeps it connected
-            edges.append((u - 1, u, rng.randint(1, 32)))
-        net = _net(list({(u, v): (u, v, e) for u, v, e in edges}.values()))
-        s, d = 0, n - 1
-        for cost in LinkCost:
-            path = shortest_weighted_path(net, s, d, cost)
-            total = sum(cost.edge_cost(net.channel(u, v).egr)
-                        for u, v in zip(path, path[1:]))
-            expected = _brute_force_best(net, s, d, cost)
-            assert (total, len(path) - 1, tuple(path)) == expected
+        nodes = sorted(rng.sample(range(3 * n), n)) if trial % 2 else list(range(n))
+        # Two components, nodes[:split] and nodes[split:], each of 2 or more.
+        split = rng.randint(2, n - 2) if trial % 3 == 2 else n
+        edges = {}
+        for i, j in itertools.combinations(range(n), 2):
+            if (i < split) == (j < split) and rng.random() < 0.35:
+                edges[nodes[i], nodes[j]] = rng.randint(1, 32)
+        for i in range(1, n):  # spanning chains keep each component connected
+            if i != split:
+                edges[nodes[i - 1], nodes[i]] = rng.randint(1, 32)
+        net = _net([(u, v, egr) for (u, v), egr in edges.items()])
+        links = list(net.links)
+        pairs = [rng.sample(nodes, 2) for _ in range(3)]
+        if split < n:
+            pairs[0] = rng.sample([rng.choice(nodes[:split]), rng.choice(nodes[split:])], 2)
+        draws = [(s, d, frozenset()) for s, d in pairs]
+        draws.append((*rng.sample(nodes, 2),
+                      frozenset(rng.sample(links, rng.randint(1, len(links) // 3 + 1)))))
+        for index, (s, d, excluded) in enumerate(draws):
+            paths = _all_simple_paths_reference(net, s, d, cutoff=n)
+            if index == 0 and split < n:
+                assert paths == []
+            for cost in LinkCost:
+                path = shortest_weighted_path(net, s, d, cost, excluded)
+                expected = _brute_force_best(net, paths, cost, excluded)
+                if expected is None:
+                    assert path is None
+                    continue
+                total = sum(cost.edge_cost(net.channel(u, v).egr)
+                            for u, v in zip(path, path[1:]))
+                assert (total, len(path) - 1, tuple(path)) == expected
 
 
 def test_weighted_routes_optimize_each_distinct_path_once(monkeypatch):
@@ -361,7 +388,8 @@ def test_exhaustive_respects_cutoff():
     assert best_path_exhaustive(net, 0, 1, cutoff=1).path == (0, 1)
     # The optimizer plans at most MAX_CHAIN_HOPS hops; a longer cutoff is
     # refused up front, not only when pruning fails to cut a long path.
-    for bad in (0, MAX_CHAIN_HOPS + 1):
+    # So is a cutoff that is not an integer: True would search one hop.
+    for bad in (0, MAX_CHAIN_HOPS + 1, 3.0, True):
         with pytest.raises(ValueError, match="cutoff"):
             best_path_exhaustive(net, 0, 3, cutoff=bad)
 
@@ -398,7 +426,8 @@ def test_multipath_cumulative_nondecreasing():
 
 def test_multipath_validates_arguments():
     net = _net([(0, 1, 10)])
-    with pytest.raises(ValueError):
-        multipath_greedy(net, 0, 1, max_paths=0)
+    for bad in (0, True, 2.0):
+        with pytest.raises(ValueError, match="max_paths"):
+            multipath_greedy(net, 0, 1, max_paths=bad)
     routed, cumulative = multipath_greedy(net, 0, 1, max_paths=1)
     assert [rp.path for rp in routed] == [(0, 1)] and len(cumulative) == 1
