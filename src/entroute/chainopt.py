@@ -24,6 +24,10 @@ from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, distillable,
 
 MAX_CHAIN_HOPS = 10
 MAX_SEGMENT_HOPS = 3
+# _SPLITS[L]: the (rest, last segment hops) pairs that cover L hops.
+_SPLITS = tuple(tuple((length - hops, hops)
+                      for hops in range(1, min(MAX_SEGMENT_HOPS, length) + 1))
+                for length in range(MAX_CHAIN_HOPS + 1))
 # The bounds multiply fidelities in another order than the optimizer does
 # and read d(F), which rises with F only up to rounding; so without this
 # relative slack an exact bound could sit an ulp below a D.
@@ -364,9 +368,6 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     rows.sort(key=itemgetter(0), reverse=True)
     # Below any stop: it closes the last threshold group and ends the sweep.
     rows.append((-1.0, False, 0, 0.0))
-    # The (rest, segment hops) splits that cover each length.
-    splits = [[(length - hops, hops) for hops in range(1, min(MAX_SEGMENT_HOPS, length) + 1)]
-              for length in range(max_hops + 1)]
     bound = [0.0] * (max_hops + 1)
     # The highest W * swap per segment length at least as fast as the
     # current threshold, for segments rated at max_egr (free) and at min_egr
@@ -387,7 +388,7 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
                 raised = False
                 for length in range(1, max_hops + 1):
                     best_without = best_with = 0.0
-                    for rest, seg in splits[length]:
+                    for rest, seg in _SPLITS[length]:
                         value = without[rest] * free[seg]
                         if value > best_without:
                             best_without = value
