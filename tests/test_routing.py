@@ -234,24 +234,27 @@ def test_exhaustive_matches_brute_force_in_the_benchmark_regime():
         assert best == RoutedPath(tuple(path), *optimize_chain(chain_from_path(net, path)))
 
 
-def _decision_digest_networks():
-    """Seeded lattices for the pinned decision digest: the benchmark regime
-    (triangular, hop 3, cutoff 7, EGR 8-32, F 0.99, perfect gates), then noisy
-    gates, then mixed raw fidelities, where only the min-EGR bound prunes."""
+def _decision_digest_networks(mixed):
+    """Seeded lattices for the pinned digests. The uniform ones are the
+    benchmark regime (triangular, hop 3, cutoff 7, EGR 8-32, F 0.99, perfect
+    gates; seeds 1-60), then noisy gates (seeds 61-70); the mixed ones (seeds
+    71-73) draw each channel's raw fidelity as ``_mixed_fidelity`` does."""
     extent = default_extent(3)
+    if mixed:
+        for seed in range(71, 74):
+            yield _mixed_fidelity(generate_network(
+                TopologySpec("triangular", extent, 8, 32, 0.99, seed=seed)), seed)
+        return
     for seed in range(1, 61):
         yield generate_network(TopologySpec("triangular", extent, 8, 32, 0.99, seed=seed))
     for seed in range(61, 71):
         yield generate_network(TopologySpec("triangular", extent, 8, 32, 0.99, seed=seed), NOISY)
-    for seed in range(71, 74):
-        yield _mixed_fidelity(generate_network(
-            TopologySpec("triangular", extent, 8, 32, 0.99, seed=seed)), seed)
 
 
-def test_exhaustive_search_decisions_match_their_pinned_digest(monkeypatch):
-    # sha256 over the repr of every (path, floor) the search hands to
-    # _optimize_floored, in order, and of every answer: a changed pruning
-    # decision, optimizer call, floor or tie-break changes the digest.
+def _decision_digest(monkeypatch, nets):
+    """sha256 over the repr of every (path, floor) the search hands to
+    _optimize_floored, in order, and of every answer: a changed pruning
+    decision, optimizer call, floor or tie-break changes the digest."""
     s, d = endpoints_for_separation(default_extent(3), 3)
     digest = hashlib.sha256()
     last_path = []
@@ -266,10 +269,34 @@ def test_exhaustive_search_decisions_match_their_pinned_digest(monkeypatch):
     optimize_floored = routing._optimize_floored
     monkeypatch.setattr(routing, "chain_from_path", chain_of)
     monkeypatch.setattr(routing, "_optimize_floored", optimize)
-    for net in _decision_digest_networks():
+    for net in nets:
         digest.update(repr(best_path_exhaustive(net, s, d, 7)).encode())
+    return digest.hexdigest()
+
+
+def test_exhaustive_search_decisions_on_uniform_networks_match_their_pinned_digest(
+        monkeypatch):
+    assert _decision_digest(monkeypatch, _decision_digest_networks(mixed=False)) == (
+        "df18ad52a6cf52077777b4963e2119268eca3b657bba8a43fe2d3567f37d2b53")
+
+
+def test_exhaustive_search_decisions_on_mixed_networks_match_their_pinned_digest(
+        monkeypatch):
+    # Pins how the search prunes on networks of mixed raw fidelity.
+    assert _decision_digest(monkeypatch, _decision_digest_networks(mixed=True)) == (
+        "77cf931b764fbf2503f039dff29f5f65857cd2d5383c3be8167781197d2644db")
+
+
+def test_exhaustive_search_answers_match_their_pinned_digest():
+    # sha256 over the repr of every answer on all the digest networks, uniform
+    # then mixed: a pruning rule may change the decisions, never this.
+    s, d = endpoints_for_separation(default_extent(3), 3)
+    digest = hashlib.sha256()
+    for mixed in (False, True):
+        for net in _decision_digest_networks(mixed):
+            digest.update(repr(best_path_exhaustive(net, s, d, 7)).encode())
     assert digest.hexdigest() == (
-        "b6ff704d6436a6805b997e4b68a3fbe644e67cbd87d360b697212e7c6d9d6991")
+        "51706e123ce7453551f451391f774e07ca26110da5094bda9243c9d3eca626f6")
 
 
 def test_exhaustive_on_chain_equals_dijkstra():
