@@ -339,17 +339,19 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
 @lru_cache(maxsize=4096, typed=True)
 def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int,
                     max_hops: int) -> tuple[float, ...]:
-    """Upper bound on the optimal D of a uniform chain, by hop count.
+    """Upper bound on the optimal D of a chain, by hop count.
 
-    Entry L (0..``max_hops``) bounds ``optimize_chain(chain).d_total``
-    for every L-hop chain of raw fidelity ``f_raw`` under ``noise`` whose hop
-    EGRs are at most ``max_egr`` with minimum ``min_egr``. A plan's fidelity
-    does not depend on EGRs and a segment's rate can only rise with its EGR,
-    so the segment holding the minimum hop is rated at ``min_egr`` and every
-    other one at ``max_egr``. Every such segment rate r is tried as the
-    bottleneck: a DP over hop count places exactly one min-EGR segment, takes
-    per segment the highest-W circuit with rate >= r, and scores r * d(F).
-    The bound never falls as ``min_egr`` or ``max_egr`` rises.
+    Entry L (0..``max_hops``) bounds ``optimize_chain(chain).d_total`` for
+    every L-hop chain under ``noise`` whose hop fidelities are at most
+    ``f_raw`` and hop EGRs at most ``max_egr`` with minimum ``min_egr``.
+    Each hop is taken at ``f_raw``, since a purify step's f_out and p_succ,
+    swapping and d(F) never fall as an input fidelity rises. A plan's
+    fidelity does not depend on EGRs and a segment's rate can only rise with
+    its EGR, so the segment holding the minimum hop is rated at ``min_egr``
+    and every other one at ``max_egr``. Every such segment rate r is tried
+    as the bottleneck: a DP over hop count places exactly one min-EGR
+    segment, takes per segment the highest-W circuit with rate >= r, and
+    scores r * d(F). The bound never falls as ``min_egr`` or ``max_egr`` rises.
     """
     if not (is_egr(min_egr) and is_egr(max_egr) and min_egr <= max_egr):
         raise ValueError("min and max EGR must be integers in 1..2**64, in order, "

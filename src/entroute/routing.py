@@ -217,16 +217,15 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
     The maximum is exact: a DFS prefix, and with it every path through it,
     is skipped only when a sound upper bound on its distillable entanglement
     falls strictly below the best already found. The first, cheap bound is
-    the prefix's minimum hop EGR, since D <= rate <= min EGR. When every
-    channel has the same raw fidelity, the second is
-    ``chainopt.d_bound_by_hops`` for that minimum EGR and the network's
-    maximum EGR, which bounds rate and fidelity together, and a prefix is cut
-    when no reachable path length beats the best D. That bound never falls
-    as the minimum EGR rises, and the best D never falls; so a minimum EGR
-    whose bound is not yet held first reads the bounds held for the nearest
-    larger and smaller ones, and a prefix that the larger one already cuts,
-    or the smaller one already lets through, costs no new bound.
-    A network of mixed raw fidelities uses the first bound only.
+    the prefix's minimum hop EGR, since D <= rate <= min EGR. The second is
+    ``chainopt.d_bound_by_hops`` at the network's highest raw fidelity, for
+    that minimum EGR and the network's maximum EGR, which bounds rate and
+    fidelity together, and a prefix is cut when no reachable path length
+    beats the best D. That bound never falls as the minimum EGR rises, and
+    the best D never falls; so a minimum EGR whose bound is not yet held
+    first reads the bounds held for the nearest larger and smaller ones, and
+    a prefix that the larger one already cuts, or the smaller one already
+    lets through, costs no new bound.
 
     The search starts from the weighted shortest paths and their plans, so
     the bounds start tight. They are ``weighted_routes``' result, which
@@ -243,8 +242,7 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
     if seeds is None:
         seeds = weighted_routes(net, s, d)
     links = net.links.values()
-    fidelities = {raw_fidelity for _, raw_fidelity in links}
-    f_raw = fidelities.pop() if len(fidelities) == 1 else None
+    f_raw = max(raw_fidelity for _, raw_fidelity in links)
     top = max(egr for egr, _ in links)
     # min EGR -> its bound's suffix maxima: entry L bounds every length >= L
     bounds: dict[int, list[float]] = {}
@@ -273,7 +271,7 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
     def prune(hops_used, hops_to_go, min_egr):
         if min_egr < best_d:
             return True
-        if f_raw is None or best is None:
+        if best is None:
             return False
         hops = hops_used + hops_to_go
         held = bounds.get(min_egr)

@@ -279,11 +279,23 @@ UNIFORM_CHAINS = st.tuples(st.integers(1, 10), st.floats(0.8, 0.999)).flatmap(
                          st.sampled_from([PERFECT, NOISY, NoiseParams(0.97, 0.995)])))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(chain=UNIFORM_CHAINS, rise=st.integers(1, 32))
+# Each hop's raw fidelity drawn on its own, the bound taken at the chain's
+# highest. Equal EGRs make the bound tight, so a bound at a lower fidelity
+# fails there; the examples put hops at the fixed points 1/4 and 1/2 and at 1.
+MIXED_CHAINS = st.integers(1, 10).flatmap(lambda n: st.builds(
+    Chain,
+    st.integers(1, 64).map(lambda egr: (egr,) * n) | st.tuples(*[st.integers(1, 64)] * n),
+    st.tuples(*[st.floats(0.8, 1.0)] * n),
+    st.sampled_from([PERFECT, NOISY, NoiseParams(0.97, 0.995), NoiseParams(0.8, 0.9)])))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(chain=UNIFORM_CHAINS | MIXED_CHAINS, rise=st.integers(1, 32))
+@example(chain=Chain((20, 20, 20), (0.9, 0.25, 1.0)), rise=1)
+@example(chain=Chain((20, 12, 20, 20), (0.5, 0.97, 1.0, 0.95), NOISY), rise=4)
 def test_d_bound_by_hops_is_sound_and_monotone(chain, rise):
     n, low, high = chain.n_hops, min(chain.egrs), max(chain.egrs)
-    f_raw = chain.fidelities[0]
+    f_raw = max(chain.fidelities)
     bound = d_bound_by_hops(f_raw, chain.noise, low, high, MAX_CHAIN_HOPS)
     assert len(bound) == MAX_CHAIN_HOPS + 1
     assert bound[n] >= optimize_chain(chain)[1].d_total

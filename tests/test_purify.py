@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -203,3 +204,57 @@ def test_checks_and_non_standard_trees_survive_the_fold():
             for noise in (NoiseParams(1.0, 1.0), NOISY):
                 out = evaluate_circuit(circuit, f, noise)
                 assert (out.f_out, out.p_succ) == _fold(tree, f, noise)
+
+
+# Noise pairs spanning the valid range, p2 from 1e-3 to 1 and eta from just
+# above 1/2 to 1, for the monotonicity checks below.
+MONOTONE_NOISE = list(itertools.product((1e-3, 0.3, 0.7, 0.9, 0.99, 1.0),
+                                        (0.5001, 0.6, 0.8, 0.95, 0.99, 1.0)))
+
+
+def _fidelity_grid(n):
+    return [0.25 + 0.75 * i / n for i in range(n + 1)]
+
+
+def test_step_is_nondecreasing_in_each_operand():
+    """The exhaustive search bounds a chain of mixed raw fidelities by the same
+    chain at its highest one; that is sound because a purify step never does
+    worse on a better operand.
+
+    With the other operand fixed, s_even, keep_even and keep_odd are linear
+    in this one, so p_succ is too, with slope
+    g2 * (m_eq - m_x) * (2/3) * (f_other - a_other) >= 0: m_eq - m_x is
+    (2 eta - 1)**2 and f - (1 - f) / 3 >= 0 on [1/4, 1]. f_out = f_num /
+    p_succ is a ratio of two linear functions with a positive denominator,
+    so it is monotone in the operand, its sign fixed by its values at
+    F = 1/4 and F = 1; this grid, which holds both, shows it rises.
+
+    Checked up to a fall of 2**-54, one ulp of the floats just below 1/2:
+    where the other operand is 1/4 the slope is exactly 0, p_succ is the
+    constant 1/2, and the rounding of its sums lands it one ulp below 1/2 at
+    some inputs and not at others.
+    """
+    tolerance = 2.0 ** -54
+    grid = _fidelity_grid(60)
+    for p2, eta in MONOTONE_NOISE:
+        terms = purify._noise_terms(p2, eta)
+        for other in grid:
+            for step in (lambda f: purify._step(f, other, *terms),
+                         lambda f: purify._step(other, f, *terms)):
+                outs = [step(f) for f in grid]
+                for lower, higher in zip(outs, outs[1:]):
+                    assert all(b >= a - tolerance for a, b in zip(lower, higher))
+
+
+def test_circuit_rows_are_nondecreasing_in_the_input_fidelity():
+    # Every standard circuit is a tree of purify steps whose operands are the
+    # outputs of subtrees at f_in, so by the step's monotonicity its f_out,
+    # its p_succ (a product of nonnegative rising factors) and W = (4F - 1) / 3
+    # rise with f_in. The fold's rounding never showed a fall here, so the
+    # check is exact. The wrapped fold keeps the grid out of the cache.
+    grid = _fidelity_grid(600)
+    for p2, eta in MONOTONE_NOISE:
+        rows = [purify._evaluate_cached.__wrapped__(f, p2, eta) for f in grid]
+        for lower, higher in zip(rows, rows[1:]):
+            for low, high in zip(lower, higher):
+                assert all(b >= a for a, b in zip(low, high))

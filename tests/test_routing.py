@@ -200,6 +200,9 @@ def test_weighted_routes_beyond_the_chain_cap_have_no_plan():
     path = tuple(range(MAX_CHAIN_HOPS + 1))
     assert weighted_routes(line, 0, MAX_CHAIN_HOPS, (LinkCost.HOP,)) == {
         LinkCost.HOP: (path, optimize_chain(chain_from_path(line, path)))}
+    # Multipath stops at a path over the cap and routes one of exactly the cap.
+    assert multipath_greedy(line, 0, MAX_CHAIN_HOPS + 1, 2) == ([], [])
+    assert [rp.path for rp in multipath_greedy(line, 0, MAX_CHAIN_HOPS, 2)[0]] == [path]
     assert weighted_routes(_net([(0, 1, 10), (2, 3, 10)]), 0, 3) == {}
 
 
@@ -222,12 +225,17 @@ def test_exhaustive_matches_brute_force_in_the_benchmark_regime():
     # perfect gates, one raw fidelity. There the joint bound prunes, and most
     # prefixes at a new minimum EGR are cut by the bound held for a larger one.
     # On seeds 17, 20 and 22 an unsound reuse, of a smaller minimum EGR's
-    # bound, returns a worse path.
+    # bound, returns a worse path. Seeds 71 and 72 mix raw fidelities, so the
+    # bound is taken at the highest, with perfect and with noisy gates.
     extent = default_extent(3)
     s, d = endpoints_for_separation(extent, 3)
-    for seed, egr_range in ((1, (8, 32)), (17, (8, 32)), (20, (8, 32)), (22, (8, 32)),
-                            (5, (16, 16))):
-        net = generate_network(TopologySpec("triangular", extent, *egr_range, 0.99, seed=seed))
+    nets = [generate_network(TopologySpec("triangular", extent, *egr_range, 0.99, seed=seed))
+            for seed, egr_range in ((1, (8, 32)), (17, (8, 32)), (20, (8, 32)),
+                                    (22, (8, 32)), (5, (16, 16)))]
+    for seed, noise in ((71, PERFECT), (72, NOISY)):
+        nets.append(_mixed_fidelity(generate_network(
+            TopologySpec("triangular", extent, 8, 32, 0.99, seed=seed), noise), seed))
+    for net in nets:
         best = best_path_exhaustive(net, s, d, 7)
         d_total, path = _brute_force_exhaustive(net, s, d, 7)
         assert (best.evaluation.d_total, list(best.path)) == (d_total, path)
@@ -284,7 +292,7 @@ def test_exhaustive_search_decisions_on_mixed_networks_match_their_pinned_digest
         monkeypatch):
     # Pins how the search prunes on networks of mixed raw fidelity.
     assert _decision_digest(monkeypatch, _decision_digest_networks(mixed=True)) == (
-        "77cf931b764fbf2503f039dff29f5f65857cd2d5383c3be8167781197d2644db")
+        "9a85fd2e805212bf92b60ac44161016bb69da04d86c8a1f00e882fee10c60fa1")
 
 
 def test_exhaustive_search_answers_match_their_pinned_digest():
@@ -357,18 +365,29 @@ def test_exhaustive_matches_brute_force(kind, extent, hops, cutoff):
             net, s, d, cutoff)
 
 
-def test_exhaustive_without_seeds_breaks_zero_d_ties_like_brute_force():
+def test_exhaustive_without_seeds_breaks_zero_d_ties_like_brute_force(monkeypatch):
     # Nothing distills from these channels, so every path ties at D = 0 and
     # the joint bound reads exactly the best D found. A prefix whose bound
     # only equals it may still hold a shorter path, which must win the tie.
+    # A held bound equal to the best D already lets a prefix through, so a
+    # bound is built only for a minimum EGR below every one held.
+    built = []
+
+    def bound(f_raw, noise, min_egr, *args):
+        built.append(min_egr)
+        return d_bound_by_hops(f_raw, noise, min_egr, *args)
+    d_bound_by_hops = routing.d_bound_by_hops
+    monkeypatch.setattr(routing, "d_bound_by_hops", bound)
     extent = (3, 5)
     s, d = endpoints_for_separation(extent, 3)
     for f_raw, noise in ((0.5, PERFECT), (0.6, NoiseParams(0.9, 0.9))):
         net = generate_network(TopologySpec("triangular", extent, 8, 32, f_raw, seed=1), noise)
+        built.clear()
         best = best_path_exhaustive(net, s, d, 6, {})
         assert best.evaluation.d_total == 0.0
         assert (best.evaluation.d_total, list(best.path)) == _brute_force_exhaustive(
             net, s, d, 6)
+        assert len(built) > 1 and all(a > b for a, b in zip(built, built[1:]))
 
 
 def test_exhaustive_does_not_optimize_a_seed_of_exactly_cutoff_hops_again(monkeypatch):
