@@ -250,6 +250,58 @@ def test_optimize_is_exact_in_d_and_fidelity_at_purify_fixed_points():
         assert evaluate_plan(chain, plan) == evaluation
 
 
+def _rates_between(chain, max_k, low, high):
+    """The distinct segment rates in [low, high] over every slice of ``chain``."""
+    n, noise = chain.n_hops, chain.noise
+    return {rate for start in range(n) for end in range(start + 1, min(start + 3, n) + 1)
+            for *_, rate in chainopt._segment_table(
+                swap_fidelity(chain.fidelities[start:end], noise),
+                min(chain.egrs[start:end]), noise.p2, noise.eta, max_k)
+            if low <= rate <= high}
+
+
+def test_optimize_skips_the_passes_before_the_first_that_distils(monkeypatch):
+    # 0.91 channels at max_k = 4 distil over 3-4 hops only from a slow
+    # bottleneck on (5-6 hops of them, or 4 with noisy gates, distil
+    # nothing). A sweep that runs every pass runs, after the ceiling pass,
+    # one per rate from the slowest hop's down to the answer's; the passes
+    # that cannot distil are skipped, and each chain needs fewer.
+    calls = []
+    cover = chainopt._cover
+    monkeypatch.setattr(chainopt, "_cover", lambda *args: calls.append(None) or cover(*args))
+    for egrs, fids, noise in (((29, 15, 32, 22), (0.91,) * 4, PERFECT),
+                              ((30, 32, 29, 31), (0.91,) * 4, PERFECT),
+                              ((21, 25, 13, 9), (0.91,) * 4, PERFECT),
+                              ((10, 10, 19), (0.91, 0.93, 0.93), NOISY),
+                              ((18, 19, 28), (0.97, 0.91, 0.91), NOISY),
+                              ((32, 23, 14, 11), (0.97, 0.93, 0.95, 0.95), NOISY)):
+        chain = Chain(egrs, fids, noise)
+        calls.clear()
+        plan, evaluation = optimize_chain(chain, max_k=4)
+        assert (plan, evaluation) == _brute_force_best(chain, 4)
+        assert evaluation.d_total > 0.0
+        assert len(calls) < len(_rates_between(chain, 4, evaluation.rate, min(egrs)))
+
+
+def test_optimize_skips_to_unrated_circuits_when_only_they_distil(monkeypatch):
+    # The ceiling distils, but only through k = 4 on EGRs of 2 and 3, rated 0.
+    # Every pass at a positive rate distils nothing, and the answer, a D = 0
+    # tie, is the ceiling's fidelity, above each of theirs: after the first
+    # pass, at the slowest hop's rate, only the rate-0 pass runs.
+    calls = []
+    cover = chainopt._cover
+    monkeypatch.setattr(chainopt, "_cover", lambda *args: calls.append(None) or cover(*args))
+    for egrs, fids in (((2, 3), (0.88, 0.8)), ((3, 2, 3), (0.9, 0.88, 0.9))):
+        chain = Chain(egrs, fids)
+        calls.clear()
+        plan, evaluation = optimize_chain(chain, max_k=4)
+        assert (plan, evaluation) == _brute_force_best(chain, 4)
+        assert evaluation.rate == evaluation.d_total == 0.0
+        assert distillable_per_pair(evaluation.final_fidelity) > 0.0
+        assert len(_rates_between(chain, 4, 1e-300, min(egrs))) >= 5
+        assert len(calls) == 3
+
+
 def test_optimize_finds_pinned_optimum():
     # Lowering k one step at a time from 8 stops at 1:4+1:2+1:5 (D = 0.7496).
     plan, evaluation = optimize_chain(Chain((16, 8, 32), (0.95, 0.9, 0.92)))
@@ -528,6 +580,18 @@ def test_fidelity_keyed_caches_are_bounded():
 def test_optimize_rejects_long_chains():
     with pytest.raises(ValueError):
         optimize_chain(Chain((10,) * 11, (0.95,) * 11))
+
+
+def test_optimize_rejects_a_max_k_that_is_not_a_width():
+    chain = Chain((16, 16), (0.9, 0.9))
+    tables = chainopt._segment_table.cache_info().currsize
+    for bad_k in (0, -1, purify.MAX_CIRCUIT_K + 1, 2.5, 4.0, "3", True, False, None):
+        with pytest.raises(ValueError, match="max_k"):
+            optimize_chain(chain, max_k=bad_k)
+    # Rejected before any table is looked up.
+    assert chainopt._segment_table.cache_info().currsize == tables
+    for k in (1, purify.MAX_CIRCUIT_K):
+        assert optimize_chain(chain, max_k=k) == _brute_force_best(chain, k)
 
 
 def test_bottleneck_law():
