@@ -77,10 +77,12 @@ class PurificationPlan:
         if not self.segments:
             raise ValueError("plan must have at least one segment")
         for hops, k in self.segments:
-            if not 1 <= hops <= MAX_SEGMENT_HOPS:
-                raise ValueError(f"segment length must be 1..{MAX_SEGMENT_HOPS}, got {hops}")
-            if not 1 <= k <= MAX_CIRCUIT_K:
-                raise ValueError(f"segment circuit width must be 1..{MAX_CIRCUIT_K}, got {k}")
+            if not (type(hops) is int and 1 <= hops <= MAX_SEGMENT_HOPS):
+                raise ValueError(
+                    f"segment length must be an integer in 1..{MAX_SEGMENT_HOPS}, got {hops!r}")
+            if not (type(k) is int and 1 <= k <= MAX_CIRCUIT_K):
+                raise ValueError(
+                    f"segment circuit width must be an integer in 1..{MAX_CIRCUIT_K}, got {k!r}")
 
     @property
     def n_hops(self) -> int:
@@ -100,17 +102,21 @@ class PlanEvaluation:
 
 def no_purification_plan(n_hops: int) -> PurificationPlan:
     """Plain swapping: single-hop segments, identity circuits."""
+    if type(n_hops) is not int:
+        raise ValueError(f"n_hops must be an integer, got {n_hops!r}")
     return PurificationPlan(segments=tuple((1, 1) for _ in range(n_hops)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_segmentations(n_hops: int) -> tuple[tuple[int, ...], ...]:
     """All ordered compositions of ``n_hops`` into parts of size 1..3.
 
     Counts follow the tribonacci recurrence T(n) = T(n-1) + T(n-2) + T(n-3).
+    The cache is typed, so True and 2.0 miss the entries of 1 and 2 and are
+    rejected.
     """
-    if not 1 <= n_hops <= MAX_CHAIN_HOPS:
-        raise ValueError(f"n_hops must be 1..{MAX_CHAIN_HOPS}, got {n_hops}")
+    if not (type(n_hops) is int and 1 <= n_hops <= MAX_CHAIN_HOPS):
+        raise ValueError(f"n_hops must be an integer in 1..{MAX_CHAIN_HOPS}, got {n_hops!r}")
     result = []
 
     def extend(prefix, remaining):
@@ -132,13 +138,17 @@ def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
     """Per-k rows for one segment, in the optimizer's form (W, f_out, -k, rate).
 
     Row k - 1 is ``purify._evaluate_cached``'s row for width k, its p_succ
-    rated at ``min_egr`` by ``purify._rate``; no circuit is looked up or
-    evaluated per width.
+    rated at ``min_egr`` as ``purify._rate`` does, inline: no circuit is
+    looked up, evaluated or rated by a call per width. Width 1's p_succ is
+    exactly 1.0, so its rate is the raw rate, float(min_egr).
     """
     if not 1 <= max_k <= MAX_CIRCUIT_K:
         raise ValueError(f"circuit width k must be in 1..{MAX_CIRCUIT_K}, got {max_k}")
-    return tuple([(w, f_out, -k, _rate(min_egr, k, p_succ)) for k, (f_out, p_succ, w)
-                  in enumerate(_evaluate_cached(f_raw, p2, eta)[:max_k], 1)])
+    rows = _evaluate_cached(f_raw, p2, eta)
+    if min_egr < 0:
+        raise ValueError(f"egr must be >= 0, got {min_egr}")
+    return tuple([(w, f_out, -k, p_succ * float(min_egr // k)) for k, (f_out, p_succ, w)
+                  in enumerate(rows[:max_k], 1)])
 
 
 @lru_cache(maxsize=4096)

@@ -10,9 +10,11 @@ pairs pump the running output one at a time. k = 1 is the identity
 Every tree is evaluated by one fold over its step schedule: the distinct
 purify steps of the tree, children first. The eight standard circuits share
 their subtrees, so their schedule has 7 steps, and one fold gives every
-width's (f_out, p_succ, W) at one input fidelity and noise. This module owns
-the one cache of those rows, per (f_in, p2, eta); the chain optimizer reads
-it directly. A non-standard tree folds its own schedule, uncached.
+width's (f_out, p_succ, W) at one input fidelity and noise. The fold is the
+only copy of the purify step's formula, run inline with no call per step;
+``purify_pair`` is a one-step fold. This module owns the one cache of those
+rows, per (f_in, p2, eta); the chain optimizer reads it directly. A
+non-standard tree folds its own schedule, uncached.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .netgraph import MAX_EGR
 from .werner import F_MIN, PERFECT, NoiseParams, check_fidelity
 
 MAX_CIRCUIT_K = 8
@@ -47,8 +50,7 @@ class PurificationCircuit:
     tree: object
 
     def __post_init__(self):
-        if not 1 <= self.k <= MAX_CIRCUIT_K:
-            raise ValueError(f"circuit width k must be in 1..{MAX_CIRCUIT_K}, got {self.k}")
+        _check_width(self.k)
         if _count_leaves(self.tree) != self.k:
             raise ValueError("circuit tree must have exactly k leaves")
 
@@ -66,11 +68,18 @@ def _balanced_tree(width: int):
     return (_balanced_tree(width // 2), _balanced_tree(width - width // 2))
 
 
-@lru_cache(maxsize=None)
+def _check_width(k) -> None:
+    if not (type(k) is int and 1 <= k <= MAX_CIRCUIT_K):
+        raise ValueError(f"circuit width k must be an integer in 1..{MAX_CIRCUIT_K}, got {k!r}")
+
+
+@lru_cache(maxsize=None, typed=True)
 def circuit_for(k: int) -> PurificationCircuit:
-    """The recurrence/pumping circuit consuming ``k`` raw pairs."""
-    if not 1 <= k <= MAX_CIRCUIT_K:
-        raise ValueError(f"circuit width k must be in 1..{MAX_CIRCUIT_K}, got {k}")
+    """The recurrence/pumping circuit consuming ``k`` raw pairs.
+
+    The cache is typed, so True and 2.0 miss the entries of 1 and 2 and are
+    rejected."""
+    _check_width(k)
     base = 1
     while base * 2 <= k:
         base *= 2
@@ -78,44 +87,6 @@ def circuit_for(k: int) -> PurificationCircuit:
     for _ in range(k - base):
         tree = (tree, LEAF)
     return PurificationCircuit(k=k, tree=tree)
-
-
-def _noise_terms(p2: float, eta: float) -> tuple[float, float, float]:
-    """(g2, m_eq, m_x) of one purify step: the probabilities that both CNOTs
-    survive, that the two readouts are both right or both wrong, and that
-    exactly one of them is wrong."""
-    return p2 * p2, eta * eta + (1.0 - eta) * (1.0 - eta), 2.0 * eta * (1.0 - eta)
-
-
-def _step(f1: float, f2: float, g2: float, m_eq: float, m_x: float) -> tuple[float, float]:
-    """(f_out, p_succ) of one purify step, the noise given as ``_noise_terms``.
-    An operand outside [1/4, 1] raises check_fidelity's ValueError."""
-    if not (F_MIN <= f1 <= 1.0 and F_MIN <= f2 <= 1.0):
-        check_fidelity(f1)
-        check_fidelity(f2)
-    a1 = (1.0 - f1) / 3.0
-    a2 = (1.0 - f2) / 3.0
-    # True-coincidence probability and the phi+ weights of the kept pair in
-    # the coinciding / anti-coinciding branches (perfect-gate values).
-    s_even = f1 * f2 + f1 * a2 + f2 * a1 + 5.0 * a1 * a2
-    keep_even = f1 * f2 + a1 * a2
-    keep_odd = f1 * a2 + a1 * a2
-    p_succ = g2 * (m_eq * s_even + m_x * (1.0 - s_even)) + (1.0 - g2) * 0.5
-    f_num = g2 * (m_eq * keep_even + m_x * keep_odd) + (1.0 - g2) * 0.125
-    return f_num / p_succ, p_succ
-
-
-def purify_pair(f1: float, f2: float, noise: NoiseParams = PERFECT) -> CircuitOutcome:
-    """One two-pair purification step; the first pair is kept.
-
-    Both pairs are Werner states; the step applies bilateral CNOTs (each
-    depolarizing with survival probability p2), measures the consumed pair
-    with per-measurement flip probability 1 - eta, and keeps the first pair
-    when the reported outcomes coincide. The kept state is re-twirled to
-    Werner form, so only its fidelity is tracked.
-    """
-    f_out, p_succ = _step(f1, f2, *_noise_terms(noise.p2, noise.eta))
-    return CircuitOutcome(f_out=f_out, p_succ=p_succ)
 
 
 def _schedule(trees) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
@@ -143,30 +114,59 @@ def _schedule(trees) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
 _STEPS, _ROOTS = _schedule(circuit_for(k).tree for k in range(1, MAX_CIRCUIT_K + 1))
 
 
-def _fold(steps, roots, f_in: float, p2: float, eta: float
+def _fold(steps, roots, leaves, p2: float, eta: float
           ) -> tuple[tuple[float, float, float], ...]:
-    """(f_out, p_succ, W) at each root of a ``_schedule``, every leaf at ``f_in``.
+    """(f_out, p_succ, W) at each root of a schedule, slot i holding ``leaves[i]``.
 
-    A subtree's success probability is p_kept * p_cons * p_succ, in that
-    order, so every float is the one a walk of its tree gives. W is
-    fidelity_to_w's (4F - 1) / 3, checked by check_fidelity only when F
-    falls outside [1/4, 1].
+    This is the one copy of the purify step's formula; ``purify_pair`` is a
+    one-step fold. The step runs inline over flat lists of fidelities and
+    success probabilities, with no call per step. A subtree's success
+    probability is p_kept * p_cons * p_succ, in that order, so every float
+    is the one a walk of its tree gives. W is fidelity_to_w's (4F - 1) / 3.
+    A leaf or step output outside [1/4, 1] raises check_fidelity's
+    ValueError, and a noise pair outside NoiseParams' ranges its ValueError.
     """
-    NoiseParams(p2, eta)  # rejects an invalid p2 or eta
-    g2, m_eq, m_x = _noise_terms(p2, eta)
-    slots = [(f_in, 1.0)]
+    if p2 is True or eta is True or not (0.0 < p2 <= 1.0 and 0.5 < eta <= 1.0):
+        NoiseParams(p2, eta)  # raises for the invalid value
+    for f in leaves:
+        if not F_MIN <= f <= 1.0:
+            check_fidelity(f)
+    # Both CNOTs survive with g2; the two readouts are both right or both
+    # wrong with m_eq, and exactly one is wrong with m_x.
+    g2 = p2 * p2
+    m_eq = eta * eta + (1.0 - eta) * (1.0 - eta)
+    m_x = 2.0 * eta * (1.0 - eta)
+    half, eighth = (1.0 - g2) * 0.5, (1.0 - g2) * 0.125
+    fids, probs = list(leaves), [1.0] * len(leaves)
     for kept, consumed in steps:
-        f_kept, p_kept = slots[kept]
-        f_cons, p_cons = slots[consumed]
-        f_out, p_succ = _step(f_kept, f_cons, g2, m_eq, m_x)
-        slots.append((f_out, p_kept * p_cons * p_succ))
-    rows = []
-    for root in roots:
-        f_out, p_succ = slots[root]
+        f1, f2 = fids[kept], fids[consumed]
+        a1 = (1.0 - f1) / 3.0
+        a2 = (1.0 - f2) / 3.0
+        ff, fa, aa = f1 * f2, f1 * a2, a1 * a2
+        # True-coincidence probability; the kept pair's phi+ weights in the
+        # coinciding and anti-coinciding branches are ff + aa and fa + aa.
+        s_even = ff + fa + f2 * a1 + 5.0 * a1 * a2
+        p_succ = g2 * (m_eq * s_even + m_x * (1.0 - s_even)) + half
+        f_out = (g2 * (m_eq * (ff + aa) + m_x * (fa + aa)) + eighth) / p_succ
         if not F_MIN <= f_out <= 1.0:
             check_fidelity(f_out)
-        rows.append((f_out, p_succ, (4.0 * f_out - 1.0) / 3.0))
-    return tuple(rows)
+        fids.append(f_out)
+        probs.append(probs[kept] * probs[consumed] * p_succ)
+    return tuple([(fids[root], probs[root], (4.0 * fids[root] - 1.0) / 3.0) for root in roots])
+
+
+def purify_pair(f1: float, f2: float, noise: NoiseParams = PERFECT) -> CircuitOutcome:
+    """One two-pair purification step; the first pair is kept.
+
+    Both pairs are Werner states; the step applies bilateral CNOTs (each
+    depolarizing with survival probability p2), measures the consumed pair
+    with per-measurement flip probability 1 - eta, and keeps the first pair
+    when the reported outcomes coincide. The kept state is re-twirled to
+    Werner form, so only its fidelity is tracked. This is a one-step
+    ``_fold``: slot 0 (``f1``) kept, slot 1 (``f2``) consumed.
+    """
+    f_out, p_succ, _ = _fold(((0, 1),), (2,), (f1, f2), noise.p2, noise.eta)[0]
+    return CircuitOutcome(f_out=f_out, p_succ=p_succ)
 
 
 @lru_cache(maxsize=4096)
@@ -175,7 +175,7 @@ def _evaluate_cached(f_in: float, p2: float, eta: float) -> tuple[tuple[float, f
     input ``f_in``: one fold of the 7 shared steps, not the 28 of eight
     separate trees. No EGR enters, so every segment at one fidelity and
     noise reads the same entry."""
-    return _fold(_STEPS, _ROOTS, f_in, p2, eta)
+    return _fold(_STEPS, _ROOTS, (f_in,), p2, eta)
 
 
 def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
@@ -191,7 +191,7 @@ def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
     if circuit == circuit_for(circuit.k):
         f_out, p_succ, _ = _evaluate_cached(f_in, noise.p2, noise.eta)[circuit.k - 1]
     else:
-        f_out, p_succ, _ = _fold(*_schedule((circuit.tree,)), f_in, noise.p2, noise.eta)[0]
+        f_out, p_succ, _ = _fold(*_schedule((circuit.tree,)), (f_in,), noise.p2, noise.eta)[0]
     return CircuitOutcome(f_out=f_out, p_succ=p_succ)
 
 
@@ -201,15 +201,18 @@ def post_purification_rate(egr: int, circuit: PurificationCircuit,
 
     A width-k circuit consumes k of the egr raw pairs per run, and all runs
     must succeed: the rate is p_succ * floor(egr / k). Without purification
-    (k = 1) the raw rate passes through.
+    (k = 1) the raw rate passes through. ``egr`` is an integer, not a bool,
+    in 0..2**64: an idle segment rates 0, and netgraph's MAX_EGR caps the
+    rest.
     """
+    if not (type(egr) is int and 0 <= egr <= MAX_EGR):
+        raise ValueError(f"egr must be an integer in 0..2**64, got {egr!r}")
     return _rate(egr, circuit.k, outcome.p_succ)
 
 
 def _rate(egr: int, k: int, p_succ: float) -> float:
-    """``post_purification_rate`` of the width-``k`` circuit, from its p_succ alone."""
-    if egr < 0:
-        raise ValueError(f"egr must be >= 0, got {egr}")
+    """``post_purification_rate`` of the width-``k`` circuit, from its p_succ
+    alone; its callers have checked ``egr``."""
     return float(egr) if k == 1 else p_succ * float(egr // k)
 
 

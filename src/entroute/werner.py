@@ -103,6 +103,6 @@ def distillable_per_pair(f: float) -> float:
 
 def distillable(m: float, f: float) -> float:
     """Total ebits distillable from ``m`` Werner pairs of fidelity ``f``."""
-    if m < 0:
+    if not m >= 0:  # also rejects NaN
         raise ValueError(f"pair count must be >= 0, got {m}")
     return m * distillable_per_pair(f)

@@ -57,6 +57,14 @@ def test_segmentations_domain_errors():
         enumerate_segmentations(0)
     with pytest.raises(ValueError):
         enumerate_segmentations(11)
+    # The cache is typed: True and 2.0 miss the entries held for 1 and 2.
+    assert enumerate_segmentations(1) == ((1,),)
+    assert len(enumerate_segmentations(2)) == 2
+    for bad in (True, False, 2.0, 1.5):
+        with pytest.raises(ValueError, match="n_hops"):
+            enumerate_segmentations(bad)
+        with pytest.raises(ValueError, match="n_hops"):
+            no_purification_plan(bad)
 
 
 def test_evaluate_plan_two_hop_raw_swap():
@@ -117,6 +125,12 @@ def test_plan_validation():
         PurificationPlan(((4, 1),))
     with pytest.raises(ValueError):
         PurificationPlan(((2, 9),))
+    for hops in (True, 2.0):
+        with pytest.raises(ValueError, match="segment length"):
+            PurificationPlan(((hops, 1),))
+    for k in (True, 2.0):
+        with pytest.raises(ValueError, match="circuit width"):
+            PurificationPlan(((1, k),))
     assert PurificationPlan(((3, 8), (2, 1))).summary() == "3:8+2:1"
 
 

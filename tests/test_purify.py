@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from entroute import purify
+from entroute import chainopt, purify
 from entroute.purify import (LEAF, CircuitOutcome, PurificationCircuit,
                              circuit_for, evaluate_circuit,
                              oracle_simulate_step, post_purification_rate,
@@ -101,6 +101,13 @@ def test_circuit_width_bounds():
         circuit_for(9)
     with pytest.raises(ValueError):
         PurificationCircuit(k=2, tree=LEAF)
+    # The cache is typed: True and 2.0 miss the entries held for 1 and 2.
+    assert circuit_for(1).k == 1 and circuit_for(2).k == 2
+    for bad in (True, 2.0, 1.5):
+        with pytest.raises(ValueError, match="width"):
+            circuit_for(bad)
+    with pytest.raises(ValueError, match="width"):
+        PurificationCircuit(k=True, tree=LEAF)
 
 
 def test_identity_circuit():
@@ -153,6 +160,17 @@ def test_post_purification_rate_examples():
 def test_post_purification_rate_rejects_negative():
     with pytest.raises(ValueError):
         post_purification_rate(-1, circuit_for(2), CircuitOutcome(0.9, 0.5))
+
+
+def test_post_purification_rate_takes_integer_egrs_up_to_the_egr_cap():
+    outcome = CircuitOutcome(0.9, 0.5)
+    assert post_purification_rate(0, circuit_for(1), outcome) == 0.0
+    assert post_purification_rate(2**64, circuit_for(1), outcome) == float(2**64)
+    assert post_purification_rate(2**64, circuit_for(2), outcome) == 0.5 * float(2**63)
+    for bad in (True, False, 2.5, 20.0, 2**64 + 1, 10**400):
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="egr"):
+                post_purification_rate(bad, circuit_for(k), outcome)
 
 
 def test_yield_sanity():
@@ -237,11 +255,11 @@ def test_step_is_nondecreasing_in_each_operand():
     tolerance = 2.0 ** -54
     grid = _fidelity_grid(60)
     for p2, eta in MONOTONE_NOISE:
-        terms = purify._noise_terms(p2, eta)
+        noise = NoiseParams(p2, eta)
         for other in grid:
-            for step in (lambda f: purify._step(f, other, *terms),
-                         lambda f: purify._step(other, f, *terms)):
-                outs = [step(f) for f in grid]
+            for step in (lambda f: purify_pair(f, other, noise),
+                         lambda f: purify_pair(other, f, noise)):
+                outs = [(out.f_out, out.p_succ) for out in map(step, grid)]
                 for lower, higher in zip(outs, outs[1:]):
                     assert all(b >= a - tolerance for a, b in zip(lower, higher))
 
@@ -258,3 +276,48 @@ def test_circuit_rows_are_nondecreasing_in_the_input_fidelity():
         for lower, higher in zip(rows, rows[1:]):
             for low, high in zip(lower, higher):
                 assert all(b >= a for a, b in zip(low, high))
+
+
+def _step_formula(f1, f2, p2, eta):
+    """The purify step as written before the inline fold, term by term."""
+    g2, m_eq, m_x = p2 * p2, eta * eta + (1.0 - eta) * (1.0 - eta), 2.0 * eta * (1.0 - eta)
+    a1 = (1.0 - f1) / 3.0
+    a2 = (1.0 - f2) / 3.0
+    s_even = f1 * f2 + f1 * a2 + f2 * a1 + 5.0 * a1 * a2
+    keep_even = f1 * f2 + a1 * a2
+    keep_odd = f1 * a2 + a1 * a2
+    p_succ = g2 * (m_eq * s_even + m_x * (1.0 - s_even)) + (1.0 - g2) * 0.5
+    f_num = g2 * (m_eq * keep_even + m_x * keep_odd) + (1.0 - g2) * 0.125
+    return f_num / p_succ, p_succ
+
+
+def test_purify_pair_is_the_step_formula_to_the_bit():
+    rng = random.Random(23)
+    anchors = (0.25, 0.5, 1.0)
+    noises = [(1.0, 1.0), (0.99, 0.99), (1e-3, 0.5000001), (1e-3, 1.0), (1.0, 0.5000001)]
+    pairs = list(itertools.product(anchors, anchors))
+    pairs += [(rng.uniform(0.25, 1.0), rng.uniform(0.25, 1.0)) for _ in range(2000)]
+    for i, (f1, f2) in enumerate(pairs):
+        p2, eta = noises[i % len(noises)] if i % 2 else (rng.uniform(1e-3, 1.0),
+                                                          rng.uniform(0.5000001, 1.0))
+        out = purify_pair(f1, f2, NoiseParams(p2, eta))
+        assert (out.f_out, out.p_succ) == _step_formula(f1, f2, p2, eta)
+
+
+def test_fold_rejects_what_noise_params_rejects():
+    # Each bad pair is asked of a fidelity no other test uses, so no cache
+    # entry for an equal key (True == 1) can answer before the fold checks.
+    f = 0.8765432101
+    bad = [(p2, 1.0, "p2") for p2 in (0.0, -0.0, 1.0 + 1e-12, float("nan"), True)]
+    bad += [(1.0, eta, "eta") for eta in (0.5, 1.0 + 1e-12, float("nan"), True)]
+    for p2, eta, field in bad:
+        with pytest.raises(ValueError, match=field):
+            NoiseParams(p2, eta)
+        with pytest.raises(ValueError, match=field):
+            purify._evaluate_cached(f, p2, eta)
+        with pytest.raises(ValueError, match=field):
+            chainopt._segment_table(f, 16, p2, eta, 8)
+    for p2, eta in ((1e-3, 1.0), (1.0, 0.5000001), (1e-3, 0.5000001)):
+        rows = purify._evaluate_cached(f, p2, eta)
+        assert len(rows) == purify.MAX_CIRCUIT_K
+        assert chainopt._segment_table(f, 16, p2, eta, 8)[0] == (rows[0][2], f, -1, 16.0)

@@ -127,8 +127,10 @@ def test_distillable_below_threshold_clamps_to_zero():
 
 
 def test_distillable_rejects_negative_pair_count():
-    with pytest.raises(ValueError):
-        distillable(-1, 0.9)
+    for bad in (-1, -1e-300, float("nan")):
+        with pytest.raises(ValueError):
+            distillable(bad, 0.9)
+    assert distillable(0, 0.9) == 0.0
 
 
 def test_hashing_threshold_by_bisection():
