@@ -132,7 +132,7 @@ def enumerate_segmentations(n_hops: int) -> tuple[tuple[int, ...], ...]:
     return tuple(result)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
                    max_k: int) -> tuple[tuple[float, float, int, float], ...]:
     """Per-k rows for one segment, in the optimizer's form (W, f_out, -k, rate).
@@ -140,7 +140,8 @@ def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
     Row k - 1 is ``purify._evaluate_cached``'s row for width k, its p_succ
     rated at ``min_egr`` as ``purify._rate`` does, inline: no circuit is
     looked up, evaluated or rated by a call per width. Width 1's p_succ is
-    exactly 1.0, so its rate is the raw rate, float(min_egr).
+    exactly 1.0, so its rate is the raw rate, float(min_egr). The cache is
+    typed, so a bool misses the entry of 1.0 and is rejected.
     """
     if not 1 <= max_k <= MAX_CIRCUIT_K:
         raise ValueError(f"circuit width k must be in 1..{MAX_CIRCUIT_K}, got {max_k}")
@@ -253,45 +254,6 @@ def _score(covers: dict, scored: dict, bar: float, best: tuple | None):
     return best, bar
 
 
-def _first_live(rows: list, i: int, admitted: list[dict], swap: float) -> int:
-    """The end of the first threshold group in ``rows[i:]`` whose pass may
-    distil, or of the last group.
-
-    A probe of a group is a scalar DP, not ``_cover``: each slice takes its
-    highest W among the ``admitted`` circuits and the rows up to the group's
-    end, G[end] = max over h of G[end - h] * W * (swap if end > h else 1),
-    and 1/4 + 3/4 G[n] is that pass's best fidelity up to rounding, which
-    the bound slack covers.
-    """
-    n = len(admitted) - 1
-    ends = [j for j in range(i + 1, len(rows) + 1)
-            if j == len(rows) or rows[j][0] != rows[j - 1][0]]
-    w = [[0.0] * (MAX_SEGMENT_HOPS + 1) for _ in range(n + 1)]
-    for end, slices in enumerate(admitted):
-        for hops, circuit in slices.items():
-            w[end][hops] = circuit[0]
-    # Every group before ends[lo] is dead; w holds the rows up to ``done``,
-    # the end of the last dead group probed.
-    done, lo, hi = i, 0, len(ends) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probed = [row[:] for row in w]
-        for _, end, hops, circuit in rows[done:ends[mid]]:
-            if circuit[0] > probed[end][hops]:
-                probed[end][hops] = circuit[0]
-        g = [1.0] + [0.0] * n
-        for end in range(1, n + 1):
-            for hops in range(1, min(MAX_SEGMENT_HOPS, end) + 1):
-                value = g[end - hops] * probed[end][hops] * (swap if end > hops else 1.0)
-                if value > g[end]:
-                    g[end] = value
-        if distillable_per_pair(min(1.0, 0.25 + 0.75 * g[n] * _BOUND_SLACK)) > 0.0:
-            hi = mid
-        else:
-            w, done, lo = probed, ends[mid], mid + 1
-    return ends[lo]
-
-
 def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, PlanEvaluation]:
     """Best purification plan for ``chain`` by distillable entanglement.
 
@@ -311,18 +273,20 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
     Ties break toward higher fidelity, then fewer segments, then smaller
     k-vectors, then shorter leading segments.
 
-    The first pass runs at the slowest hop's raw rate. When it distils
-    nothing, the sweep resumes at the first later threshold whose pass may
-    distil, which ``_first_live`` bisects for with a scalar DP of each pass's
-    best W product. The circuits of the thresholds skipped are still admitted
-    and ``stale`` keeps the earliest changed slice, so the next pass rebuilds
-    the covers that every pass would have. The skip is exact for three
-    reasons. A slice's best W never falls as the threshold does, so the
-    passes that cannot distil come first. A threshold counts as one of them
-    only when its W product, raised by the bound slack, gives d = 0, so
-    rounding cannot hide a pass that distils. And the skip is taken only when
-    d(F_c) > 0: the answer then has D > 0, or is a D = 0 cover at F_c, above
-    the fidelity of every skipped cover. At F_c = 1/4 every pass runs.
+    No pass runs above the slowest hop's raw rate. While no pass may distil,
+    each one first takes the best W product of its covers by a scalar DP,
+    G[end] = max over slices of G[end - hops] * W * (swap if end > hops
+    else 1), rebuilt from the earliest slice that changed; a pass whose
+    1/4 + 3/4 G[n] gives d = 0 runs no ``_cover``. Its circuits stay
+    admitted and ``stale`` keeps the earliest changed slice, so the next
+    pass rebuilds the covers that every pass would have. The skip is exact
+    for three reasons. A slice's best W never falls as the threshold does,
+    so the passes that cannot distil come first, and once one pass may
+    distil the check stops. A pass is skipped only when its G[n], raised by
+    the bound slack, gives d = 0, so rounding cannot hide a pass that
+    distils. And the skip is taken only when d(F_c) > 0: the
+    answer then has D > 0, or is a D = 0 cover at F_c, above the fidelity
+    of every skipped cover. At F_c = 1/4 every pass runs.
 
     One exception: on a chain with a hop at a fixed point of the purify step
     (F = 1/4, or F = 1/2 with perfect gates), D and the delivered fidelity are
@@ -378,7 +342,11 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
         admitted: list[dict] = [{} for _ in range(n + 1)]
         states = [{0: (1.0, (), (), math.inf)}] + [{} for _ in range(n)]
         stale = 0  # covers ending after this hop are rebuilt on the next pass
-        live = 0  # no pass runs before rows[live - 1] is admitted
+        # Until a pass may distil: g[end] is the highest W product of a cover
+        # of hops [0, end) by the admitted circuits, and every entry after
+        # ``dead`` is rebuilt at the next pass. None once a pass may distil.
+        g = [1.0] + [0.0] * n
+        dead = 0 if d_ceiling > 0.0 else None
         i = 0
         while i < len(rows) and rows[i][0] * reach >= bar:
             threshold = rows[i][0]
@@ -389,14 +357,26 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
                 if held is None or circuit > held:
                     admitted[end][hops] = circuit
                     stale = min(stale, end - 1)
-            if threshold > top or stale == n or i < live:
+                    if dead is not None and end - 1 < dead:
+                        dead = end - 1
+            if threshold > top or stale == n:
                 continue
+            if dead is not None:
+                for end in range(dead + 1, n + 1):
+                    value = 0.0
+                    for hops, circuit in admitted[end].items():
+                        w = g[end - hops] * circuit[0] * (swap if end > hops else 1.0)
+                        if w > value:
+                            value = w
+                    g[end] = value
+                if distillable_per_pair(min(1.0, 0.25 + 0.75 * g[n] * _BOUND_SLACK)) == 0.0:
+                    dead = n
+                    continue
+                dead = None
             scored = states[n]  # full covers scored on the last pass
             _cover(admitted, states, stale, swap)
             stale = n
             best, bar = _score(states[n], scored, bar, best)
-            if not scored and bar == 0.0 < d_ceiling:  # the first pass, at top
-                live = _first_live(rows, i, admitted, swap)
     (d_total, fid, *_), (_, neg_ks, neg_lens, rate) = best
     segments = tuple((-h, -k) for h, k in zip(neg_lens, neg_ks))
     return (PurificationPlan(segments=segments),

@@ -253,8 +253,7 @@ def _chain_rows(config, seed, gate, channel, topology) -> list[ResultRow]:
 def _route_rows(config, seed, gate, channel, topology) -> list[ResultRow]:
     # The exhaustive search starts from every cost's path, whichever rows
     # the config asks for.
-    costs = (tuple(LinkCost) if config.include_exhaustive
-             else tuple(map(LinkCost, config.cost_variants)))
+    costs = tuple(LinkCost) if config.include_exhaustive else config.cost_variants
     net, s, d = _network(config, seed, gate, channel, topology, config.egr_range)
     cell = (config, seed, topology, gate, channel)
     mean_egr = net.mean_channel_egr()
@@ -285,8 +284,7 @@ def _multipath_rows(config, seed, gate, channel, topology) -> list[ResultRow]:
         egr_range = config.egr_range
     net, s, d = _network(config, seed, gate, channel, topology, egr_range)
     cell = (config, seed, topology, gate, channel, config.multipath_cost)
-    routed, cumulative = multipath_greedy(
-        net, s, d, config.max_paths, LinkCost(config.multipath_cost))
+    routed, cumulative = multipath_greedy(net, s, d, config.max_paths, config.multipath_cost)
     if not routed:
         return [_row(*cell)]
     mean_egr = net.mean_channel_egr()

@@ -58,8 +58,9 @@ class PurificationCircuit:
 def _count_leaves(tree) -> int:
     if tree is LEAF:
         return 1
-    kept, consumed = tree
-    return _count_leaves(kept) + _count_leaves(consumed)
+    if not (type(tree) is tuple and len(tree) == 2):
+        raise ValueError(f"circuit tree must be {LEAF!r} or a (kept, consumed) pair, got {tree!r}")
+    return _count_leaves(tree[0]) + _count_leaves(tree[1])
 
 
 def _balanced_tree(width: int):
@@ -169,12 +170,13 @@ def purify_pair(f1: float, f2: float, noise: NoiseParams = PERFECT) -> CircuitOu
     return CircuitOutcome(f_out=f_out, p_succ=p_succ)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def _evaluate_cached(f_in: float, p2: float, eta: float) -> tuple[tuple[float, float, float], ...]:
     """Row k - 1 is (f_out, p_succ, W) of the standard width-k circuit at
     input ``f_in``: one fold of the 7 shared steps, not the 28 of eight
     separate trees. No EGR enters, so every segment at one fidelity and
-    noise reads the same entry."""
+    noise reads the same entry. The cache is typed, so a bool misses the
+    entry of 1.0 and is rejected."""
     return _fold(_STEPS, _ROOTS, (f_in,), p2, eta)
 
 

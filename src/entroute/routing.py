@@ -31,7 +31,8 @@ def _optimize_floored(chain, floor: float):
 
 
 class LinkCost(str, Enum):
-    """Pluggable channel cost for weighted shortest-path search."""
+    """Pluggable channel cost for weighted shortest-path search; the searches
+    also take a cost by its value, such as "hop", and reject any other name."""
 
     HOP = "hop"
     INV_EGR = "inv_egr"
@@ -142,6 +143,7 @@ def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP,
     against a non-empty ``excluded``.
     """
     _check_endpoints(net, s, d)
+    cost = LinkCost(cost)
     peers = net.peers
     if cost is LinkCost.HOP and not excluded:
         # Under unit costs that tie-break picks the lexicographically
@@ -198,7 +200,7 @@ def weighted_routes(net: Network, s, d, costs=tuple(LinkCost)) -> dict:
     """
     plans: dict[tuple[int, ...], tuple | None] = {}
     routes = {}
-    for cost in costs:
+    for cost in map(LinkCost, costs):
         path = shortest_weighted_path(net, s, d, cost)
         if path is None:
             return {}

@@ -300,8 +300,9 @@ def test_optimize_skips_the_passes_before_the_first_that_distils(monkeypatch):
 def test_optimize_skips_to_unrated_circuits_when_only_they_distil(monkeypatch):
     # The ceiling distils, but only through k = 4 on EGRs of 2 and 3, rated 0.
     # Every pass at a positive rate distils nothing, and the answer, a D = 0
-    # tie, is the ceiling's fidelity, above each of theirs: after the first
-    # pass, at the slowest hop's rate, only the rate-0 pass runs.
+    # tie, is the ceiling's fidelity, above each of theirs: after the
+    # ceiling pass only the rate-0 pass runs, not even the one at the
+    # slowest hop's rate.
     calls = []
     cover = chainopt._cover
     monkeypatch.setattr(chainopt, "_cover", lambda *args: calls.append(None) or cover(*args))
@@ -313,7 +314,7 @@ def test_optimize_skips_to_unrated_circuits_when_only_they_distil(monkeypatch):
         assert evaluation.rate == evaluation.d_total == 0.0
         assert distillable_per_pair(evaluation.final_fidelity) > 0.0
         assert len(_rates_between(chain, 4, 1e-300, min(egrs))) >= 5
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 def test_optimize_finds_pinned_optimum():

@@ -305,9 +305,11 @@ def test_purify_pair_is_the_step_formula_to_the_bit():
 
 
 def test_fold_rejects_what_noise_params_rejects():
-    # Each bad pair is asked of a fidelity no other test uses, so no cache
-    # entry for an equal key (True == 1) can answer before the fold checks.
+    # The caches are typed: the entries held for p2 = eta = 1.0 do not answer
+    # the equal keys of True (True == 1) before the fold checks.
     f = 0.8765432101
+    purify._evaluate_cached(f, 1.0, 1.0)
+    chainopt._segment_table(f, 16, 1.0, 1.0, 8)
     bad = [(p2, 1.0, "p2") for p2 in (0.0, -0.0, 1.0 + 1e-12, float("nan"), True)]
     bad += [(1.0, eta, "eta") for eta in (0.5, 1.0 + 1e-12, float("nan"), True)]
     for p2, eta, field in bad:
@@ -321,3 +323,9 @@ def test_fold_rejects_what_noise_params_rejects():
         rows = purify._evaluate_cached(f, p2, eta)
         assert len(rows) == purify.MAX_CIRCUIT_K
         assert chainopt._segment_table(f, 16, p2, eta, 8)[0] == (rows[0][2], f, -1, 16.0)
+
+
+def test_circuit_tree_must_be_a_leaf_or_a_pair():
+    for bad in (5, (LEAF,), "ab", (LEAF, LEAF, LEAF), ((LEAF,), LEAF)):
+        with pytest.raises(ValueError, match="tree"):
+            PurificationCircuit(k=2, tree=bad)

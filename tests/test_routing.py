@@ -477,3 +477,19 @@ def test_multipath_validates_arguments():
             multipath_greedy(net, 0, 1, max_paths=bad)
     routed, cumulative = multipath_greedy(net, 0, 1, max_paths=1)
     assert [rp.path for rp in routed] == [(0, 1)] and len(cumulative) == 1
+
+
+def test_searches_take_a_link_cost_by_its_value():
+    net = _net(DIAMOND)
+    for cost in LinkCost:
+        assert shortest_weighted_path(net, 0, 4, cost.value) == shortest_weighted_path(
+            net, 0, 4, cost)
+        assert multipath_greedy(net, 0, 4, 2, cost.value) == multipath_greedy(net, 0, 4, 2, cost)
+    routes = weighted_routes(net, 0, 4, tuple(cost.value for cost in LinkCost))
+    assert [type(cost) for cost in routes] == [LinkCost] * len(LinkCost)
+    assert routes == weighted_routes(net, 0, 4)
+    for search in (lambda: shortest_weighted_path(net, 0, 4, "bogus"),
+                   lambda: multipath_greedy(net, 0, 4, 2, "bogus"),
+                   lambda: weighted_routes(net, 0, 4, ("hop", "bogus"))):
+        with pytest.raises(ValueError, match="bogus"):
+            search()
