@@ -152,6 +152,26 @@ def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
                   in enumerate(rows[:max_k], 1)])
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _ceiling_circuit(f_raw: float, p2: float, eta: float,
+                     max_k: int) -> tuple[float, float, int, float]:
+    """The highest-(W, f_out, -k) circuit of width at most ``max_k`` on a
+    segment at ``f_raw``, as (W, f_out, -k, p_succ).
+
+    It is ``_segment_table``'s greatest row with p_succ in place of the
+    rate: rows differ in -k, so the rate never decides, and no EGR enters.
+    The cache is typed, so a bool misses the entry of 1.0 and is rejected.
+    """
+    rows = _evaluate_cached(f_raw, p2, eta)
+    f_top, p_top, w_top = rows[0]
+    k = k_top = 1
+    for f_out, p_succ, w in rows[1:max_k]:
+        k += 1
+        if w > w_top or (w == w_top and f_out > f_top):
+            f_top, p_top, w_top, k_top = f_out, p_succ, w, k
+    return w_top, f_top, -k_top, p_top
+
+
 @lru_cache(maxsize=4096)
 def _uniform_segments(f_raw: float, noise: NoiseParams, max_egr: int
                       ) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
@@ -261,6 +281,8 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
     ceiling pass comes first: each slice of the chain takes its highest-W
     circuit, and a DP over segment boundaries keeps, per segment count, the
     highest-W cover. Its best fidelity F_c is the highest any plan reaches.
+    A slice's highest-W circuit does not depend on EGR, so this pass reads
+    no per-EGR circuit table: only the chosen circuit is rated.
     When d(F_c) is 0, every plan has D = 0, plans rank by fidelity and the
     tie-breaks alone, and the ceiling's best cover is the answer. (At F_c =
     1/4 a hop holds no entanglement and every plan ties at 1/4, whatever its
@@ -304,16 +326,17 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
     noise = chain.noise
     p2, eta, swap = noise.p2, noise.eta, noise.swap_factor
     bar = -math.inf
-    # Every slice's circuits (w, f_out, -k, rate), and its highest-W one, by
-    # the hop the slice ends after and its length. A slice's raw fidelity and
-    # minimum EGR grow hop by hop from its start: its W product is taken left
-    # to right and scaled by the swap factor's power, as swap_fidelity does,
-    # so every fidelity is swap_fidelity's to the bit; a one-hop slice keeps
-    # its hop's own fidelity.
+    # Every slice as (end, length, raw fidelity, minimum EGR), from which the
+    # sweep reads its circuit table, and its highest-W circuit (w, f_out, -k,
+    # rate) by the hop the slice ends after and its length. A slice's raw
+    # fidelity and minimum EGR grow hop by hop from its start: its W product
+    # is taken left to right and scaled by the swap factor's power, as
+    # swap_fidelity does, so every fidelity is swap_fidelity's to the bit; a
+    # one-hop slice keeps its hop's own fidelity.
     fids, egrs = chain.fidelities, chain.egrs
     ws = [(4.0 * f - 1.0) / 3.0 for f in fids]  # fidelity_to_w of each hop
     scales = [0.75 * swap ** joins for joins in range(MAX_SEGMENT_HOPS)]
-    tables = []
+    slices = []
     ceiling: list[dict] = [{} for _ in range(n + 1)]
     for start in range(n):
         w, min_egr = 1.0, egrs[start]
@@ -322,9 +345,10 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
             if egrs[end - 1] < min_egr:
                 min_egr = egrs[end - 1]
             f_raw = fids[start] if end == start + 1 else 0.25 + scales[end - start - 1] * w
-            circuits = _segment_table(f_raw, min_egr, p2, eta, max_k)
-            tables.append((end, end - start, circuits))
-            ceiling[end][end - start] = max(circuits)
+            slices.append((end, end - start, f_raw, min_egr))
+            # Rated as _segment_table rates it, so it is that table's max.
+            top_w, f_out, neg_k, p_succ = _ceiling_circuit(f_raw, p2, eta, max_k)
+            ceiling[end][end - start] = (top_w, f_out, neg_k, p_succ * float(min_egr // -neg_k))
     states: list[dict[int, tuple]] = [{0: (1.0, (), (), math.inf)}] + [{} for _ in range(n)]
     _cover(ceiling, states, 0, swap)
     f_ceiling = max(fid for fid, *_ in states[n].values())
@@ -334,8 +358,8 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
     else:
         best = None
         reach = d_ceiling * _BOUND_SLACK
-        rows = [(circuit[3], end, hops, circuit) for end, hops, circuits in tables
-                for circuit in circuits]
+        rows = [(circuit[3], end, hops, circuit) for end, hops, f_raw, min_egr in slices
+                for circuit in _segment_table(f_raw, min_egr, p2, eta, max_k)]
         rows.sort(key=itemgetter(0), reverse=True)
         # No plan is faster than the slowest hop's raw rate.
         top = min(chain.egrs)

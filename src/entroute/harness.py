@@ -13,7 +13,6 @@ floats rendered at 12 significant digits, so reruns are byte-identical.
 from __future__ import annotations
 
 import csv
-import hashlib
 import itertools
 import json
 from dataclasses import asdict, dataclass, fields
@@ -319,6 +318,9 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
 
 def build_metadata(config: ExperimentConfig) -> dict:
+    # Imported here, so that importing the package does not load hashlib.
+    import hashlib
+
     digest = hashlib.sha256(config.canonical_json().encode("utf-8")).hexdigest()
     return {
         "config_hash": f"sha256:{digest}",

@@ -124,13 +124,15 @@ def _fold(steps, roots, leaves, p2: float, eta: float
     success probabilities, with no call per step. A subtree's success
     probability is p_kept * p_cons * p_succ, in that order, so every float
     is the one a walk of its tree gives. W is fidelity_to_w's (4F - 1) / 3.
-    A leaf or step output outside [1/4, 1] raises check_fidelity's
-    ValueError, and a noise pair outside NoiseParams' ranges its ValueError.
+    A leaf that is a bool or outside [1/4, 1], or a step output outside
+    [1/4, 1], raises check_fidelity's ValueError (a step output is a float
+    quotient, never a bool), and a noise pair outside NoiseParams' ranges
+    its ValueError.
     """
     if p2 is True or eta is True or not (0.0 < p2 <= 1.0 and 0.5 < eta <= 1.0):
         NoiseParams(p2, eta)  # raises for the invalid value
     for f in leaves:
-        if not F_MIN <= f <= 1.0:
+        if f is True or not F_MIN <= f <= 1.0:
             check_fidelity(f)
     # Both CNOTs survive with g2; the two readouts are both right or both
     # wrong with m_eq, and exactly one is wrong with m_x.

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from heapq import heappop, heappush
 
 from .chainopt import (MAX_CHAIN_HOPS, PlanEvaluation, PurificationPlan,
@@ -68,8 +69,14 @@ def _edge_key(u, v):
     return (u, v) if u < v else (v, u)
 
 
+@lru_cache(maxsize=16, typed=True)
 def _bfs_hops(net: Network, target) -> dict:
-    """Hop distance from every reachable node to ``target``."""
+    """Hop distance from every reachable node to ``target``; the caller must
+    not change it.
+
+    Cached per network object and target, so an exhaustive route-compare
+    cell's fewest-hop route and its path enumeration share one BFS.
+    """
     peers = net.peers
     dist = {target: 0}
     queue = deque([target])
@@ -131,6 +138,42 @@ def enumerate_paths(net: Network, s, d, cutoff: int = 10) -> list[list[int]]:
     return list(_iter_simple_paths(net, s, d, cutoff))
 
 
+def _dijkstra(peers, s, d, edge_cost, weights: dict) -> list[int] | None:
+    """Least (total cost, hops, node sequence) path from s to d, or None.
+
+    ``peers`` maps each node to its ((peer, EGR), ...) in ascending peer
+    order, as ``Network.peers`` does; a channel missing from both rows is
+    not searched. ``weights`` memoizes ``edge_cost`` by EGR, so searches of
+    one cost may share it.
+    """
+    heap = [(0.0, 0, (s,))]
+    # The least total pushed per node. A label above it can never be the
+    # node's first pop, so it is not pushed; one that ties it still is, and
+    # the heap breaks the tie on hops and path.
+    pushed = {s: 0.0}
+    done = set()
+    while heap:
+        total, hops, path = heappop(heap)
+        u = path[-1]
+        if u in done:
+            continue
+        done.add(u)
+        if u == d:
+            return list(path)
+        for v, egr in peers[u]:
+            if v in done:
+                continue
+            edge = weights.get(egr)
+            if edge is None:
+                edge = weights[egr] = edge_cost(egr)
+            reached = total + edge
+            if reached > pushed.get(v, reached):
+                continue
+            pushed[v] = reached
+            heappush(heap, (reached, hops + 1, path + (v,)))
+    return None
+
+
 def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP,
                            excluded: frozenset = frozenset()) -> list[int] | None:
     """Minimum-total-cost path under the chosen link cost.
@@ -138,9 +181,9 @@ def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP,
     Ties break toward fewer hops, then the lexicographically smallest node
     sequence. Returns None when the destination is unreachable. The
     fewest-hop path with nothing excluded is walked down the hop distances of
-    one BFS from d. Otherwise each Dijkstra relaxation reads the (peer, EGR)
-    pairs of ``net.peers``; a channel's (u, v) key is built only to test it
-    against a non-empty ``excluded``.
+    one BFS from d. Otherwise Dijkstra reads the (peer, EGR) rows of
+    ``net.peers``; a non-empty ``excluded``, a set of (u, v) channel keys
+    with u < v, is filtered out of those rows once, before the search.
     """
     _check_endpoints(net, s, d)
     cost = LinkCost(cost)
@@ -159,35 +202,10 @@ def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP,
             u = next(v for v, _ in peers[u] if dist[v] == closer)
             path.append(u)
         return path
-    weights = {}  # edge cost by EGR
-    heap = [(0.0, 0, (s,))]
-    # The least total pushed per node. A label above it can never be the
-    # node's first pop, so it is not pushed; one that ties it still is, and
-    # the heap breaks the tie on hops and path.
-    pushed = {s: 0.0}
-    done = set()
-    while heap:
-        total, hops, path = heappop(heap)
-        u = path[-1]
-        if u in done:
-            continue
-        done.add(u)
-        if u == d:
-            return list(path)
-        for v, egr in peers[u]:
-            if v in done:
-                continue
-            if excluded and ((u, v) if u < v else (v, u)) in excluded:
-                continue
-            edge = weights.get(egr)
-            if edge is None:
-                edge = weights[egr] = cost.edge_cost(egr)
-            reached = total + edge
-            if reached > pushed.get(v, reached):
-                continue
-            pushed[v] = reached
-            heappush(heap, (reached, hops + 1, path + (v,)))
-    return None
+    if excluded:
+        peers = {u: [(v, egr) for v, egr in row if _edge_key(u, v) not in excluded]
+                 for u, row in peers.items()}
+    return _dijkstra(peers, s, d, cost.edge_cost, {})
 
 
 def weighted_routes(net: Network, s, d, costs=tuple(LinkCost)) -> dict:
@@ -317,12 +335,18 @@ def multipath_greedy(net: Network, s, d, max_paths: int,
     _check_endpoints(net, s, d)
     if type(max_paths) is not int or max_paths < 1:
         raise ValueError(f"max_paths must be an integer >= 1, got {max_paths!r}")
-    excluded: set = set()
+    edge_cost = LinkCost(cost).edge_cost
+    # The working graph: each routed path's channels leave both endpoints'
+    # rows, which keep their order, so every search sees what an ``excluded``
+    # set of the routed channels would leave. The searches share one memo
+    # of edge costs.
+    peers = dict(net.peers)
+    weights: dict = {}
     routed: list[RoutedPath] = []
     cumulative: list[float] = []
     total = 0.0
     for _ in range(max_paths):
-        path = shortest_weighted_path(net, s, d, cost, frozenset(excluded))
+        path = _dijkstra(peers, s, d, edge_cost, weights)
         if path is None or len(path) - 1 > MAX_CHAIN_HOPS:
             break
         plan, evaluation = optimize_chain(chain_from_path(net, path))
@@ -330,5 +354,6 @@ def multipath_greedy(net: Network, s, d, max_paths: int,
         routed.append(RoutedPath(tuple(path), plan, evaluation))
         cumulative.append(total)
         for u, v in zip(path, path[1:]):
-            excluded.add(_edge_key(u, v))
+            peers[u] = [hop for hop in peers[u] if hop[0] != v]
+            peers[v] = [hop for hop in peers[v] if hop[0] != u]
     return routed, cumulative

@@ -14,6 +14,10 @@ import math
 from dataclasses import dataclass
 
 F_MIN = 0.25  # fidelity of the maximally mixed two-qubit state (W = 0)
+# The hashing yield rises on [1/4, 1] through its root near 0.81071. At 0.81
+# it is about -0.0026, negative by far more than any rounding error, so no
+# fidelity up to this constant distils and its logarithms need not be taken.
+_BELOW_HASHING_ROOT = 0.81
 
 
 @dataclass(frozen=True)
@@ -93,8 +97,11 @@ def distillable_per_pair(f: float) -> float:
 
     Evaluates 1 + F log2 F + (1 - F) log2((1 - F) / 3), floored at zero:
     a negative rate means nothing is distillable by the one-way protocol.
+    At F <= 0.81, below the root, that floor is returned without a logarithm.
     """
     check_fidelity(f)
+    if f <= _BELOW_HASHING_ROOT:
+        return 0.0
     if f == 1.0:
         return 1.0
     h = 1.0 + f * math.log2(f) + (1.0 - f) * math.log2((1.0 - f) / 3.0)

@@ -7,10 +7,11 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entroute import chainopt, purify
+from entroute import chainopt, purify, routing
 from entroute.chainopt import (MAX_CHAIN_HOPS, Chain, PurificationPlan, d_bound_by_hops,
                                enumerate_segmentations, evaluate_plan,
                                no_purification_plan, optimize_chain)
+from entroute.netgraph import Channel, Network
 from entroute.purify import (LEAF, CircuitOutcome, circuit_for, evaluate_circuit,
                              oracle_simulate_step, post_purification_rate, purify_pair)
 from entroute.werner import (NoiseParams, PERFECT, distillable, distillable_per_pair,
@@ -579,17 +580,46 @@ def test_optimize_never_below_the_relaxation():
 
 
 def test_fidelity_keyed_caches_are_bounded():
-    caches = (chainopt._segment_table, chainopt._uniform_segments, d_bound_by_hops,
-              purify._evaluate_cached)
+    caches = (chainopt._segment_table, chainopt._ceiling_circuit, chainopt._uniform_segments,
+              d_bound_by_hops, purify._evaluate_cached, routing._bfs_hops)
     maxsize = max(cache.cache_info().maxsize for cache in caches)
     for i in range(maxsize + 100):
         chainopt._segment_table(0.9 + i * 1e-6, 16, 1.0, 1.0, 8)
+        chainopt._ceiling_circuit(0.9 + i * 1e-6, 1.0, 1.0, 8)
         chainopt._uniform_segments(0.9 + i * 1e-6, PERFECT, 16)
         d_bound_by_hops(0.9 + i * 1e-6, PERFECT, 16, 16, 3)
+        routing._bfs_hops(Network([Channel(0, 1, 16, 0.9)]), 1)
     for cache in caches:
         info = cache.cache_info()
         assert info.misses >= info.maxsize + 100
         assert info.currsize <= info.maxsize
+
+
+def test_ceiling_circuit_is_the_segment_tables_greatest_row():
+    # The ceiling pass rates the EGR-free highest-(W, f_out, -k) circuit as
+    # _segment_table rates its rows, so it is that table's max to the bit.
+    for f in (0.25, 0.5, 0.6, 0.81, 0.91, 0.97, 0.99, 1.0):
+        for p2, eta in ((1.0, 1.0), (0.99, 0.99), (0.9, 0.95), (1.0, 0.99)):
+            for max_k in range(1, purify.MAX_CIRCUIT_K + 1):
+                w, f_out, neg_k, p_succ = chainopt._ceiling_circuit(f, p2, eta, max_k)
+                for egr in (1, 2, 3, 7, 16, 129, 2**64):
+                    assert max(chainopt._segment_table(f, egr, p2, eta, max_k)) == (
+                        w, f_out, neg_k, p_succ * float(egr // -neg_k))
+
+
+def test_a_chain_that_cannot_distil_reads_no_segment_table():
+    # 0.91 channels under p2 = eta = 0.99 distil nothing over 4 hops: the
+    # ceiling pass is the answer, and it reads no per-EGR circuit table.
+    chain = Chain((16, 9, 30, 12), (0.91,) * 4, NOISY)
+    before = chainopt._segment_table.cache_info()
+    result = optimize_chain(chain)
+    after = chainopt._segment_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert result[1].d_total == 0.0
+    assert result == _brute_force_best(chain, 8)
+    # With perfect gates the same chain distils, and the sweep reads them.
+    assert optimize_chain(Chain(chain.egrs, chain.fidelities))[1].d_total > 0.0
+    assert chainopt._segment_table.cache_info().misses > after.misses
 
 
 def test_optimize_rejects_long_chains():

@@ -586,6 +586,39 @@ def test_cli_run_path_leaves_numpy_unloaded(tmp_path):
     assert (tmp_path / "chain.csv").read_text().startswith("# artifact=entroute/")
 
 
+_IMPORT_PROBE = """
+import sys
+loaded = "hashlib" in sys.modules
+import entroute.harness
+assert loaded or "hashlib" not in sys.modules, "importing entroute.harness loaded hashlib"
+"""
+
+
+def test_importing_the_harness_leaves_hashlib_unloaded():
+    # A fresh interpreter: this test process has hashlib loaded already. Only
+    # build_metadata needs it, and it imports it on its call.
+    repo = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": str(repo / "src")}, capture_output=True, text=True,
+        timeout=60)
+    assert result.returncode == 0, result.stderr
+    config = ExperimentConfig.from_dict({"id": "x", "kind": "chain-sweep"})
+    digest = hashlib.sha256(config.canonical_json().encode("utf-8")).hexdigest()
+    assert build_metadata(config)["config_hash"] == f"sha256:{digest}"
+
+
+def test_an_exhaustive_route_compare_cell_runs_one_bfs():
+    # The fewest-hop seed route and the path enumeration share one BFS.
+    config = ExperimentConfig.from_dict({
+        "id": "x", "kind": "route-compare", "seeds": [3], "gate_fidelities": [1.0],
+        "channel_fidelities": [0.99], "hop_separation": 3, "cutoff": 7})
+    routing._bfs_hops.cache_clear()
+    run_experiment(config)
+    info = routing._bfs_hops.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_cli_seed_override(tmp_path):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({

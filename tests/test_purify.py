@@ -325,6 +325,21 @@ def test_fold_rejects_what_noise_params_rejects():
         assert chainopt._segment_table(f, 16, p2, eta, 8)[0] == (rows[0][2], f, -1, 16.0)
 
 
+def test_fold_rejects_a_bool_fidelity():
+    # True == 1 passes a range test; the fold rejects it as check_fidelity
+    # does. The typed caches first hold the entries of F = 1.0, so none of
+    # them answers the equal key True.
+    purify._evaluate_cached(1.0, 1.0, 1.0)
+    chainopt._ceiling_circuit(1.0, 1.0, 1.0, 8)
+    chainopt._segment_table(1.0, 16, 1.0, 1.0, 2)
+    for call in (lambda: purify_pair(True, 0.9), lambda: purify_pair(0.9, True),
+                 lambda: purify._evaluate_cached(True, 1.0, 1.0),
+                 lambda: chainopt._ceiling_circuit(True, 1.0, 1.0, 8),
+                 lambda: chainopt._segment_table(True, 16, 1.0, 1.0, 2)):
+        with pytest.raises(ValueError, match="fidelity"):
+            call()
+
+
 def test_circuit_tree_must_be_a_leaf_or_a_pair():
     for bad in (5, (LEAF,), "ab", (LEAF, LEAF, LEAF), ((LEAF,), LEAF)):
         with pytest.raises(ValueError, match="tree"):

@@ -470,6 +470,35 @@ def test_multipath_cumulative_nondecreasing():
     assert all(b >= a for a, b in zip(cumulative, cumulative[1:]))
 
 
+@pytest.mark.parametrize("kind", ["triangular", "square", "hexagonal"])
+def test_multipath_routes_as_the_loop_of_excluded_searches(kind):
+    # The greedy search deletes each routed path's channels from its own copy
+    # of the peer rows and shares one edge-cost memo. It must route exactly
+    # as searching the whole network with the routed channels excluded does,
+    # ties included: equal EGRs ([5, 5]) and few distinct ones ([1, 3]) tie
+    # many paths, and the reference loop's first hop-cost search is the BFS
+    # walk, not Dijkstra.
+    extent = default_extent(3)
+    s, d = endpoints_for_separation(extent, 3)
+    for egr_range in ((5, 5), (1, 3), (8, 32), (16, 128)):
+        for seed in (1, 2):
+            net = generate_network(TopologySpec(kind, extent, *egr_range, 0.95, seed), NOISY)
+            for cost in LinkCost:
+                used = set()
+                expected = []
+                for _ in range(8):
+                    path = shortest_weighted_path(net, s, d, cost, frozenset(used))
+                    if path is None or len(path) - 1 > MAX_CHAIN_HOPS:
+                        break
+                    expected.append(RoutedPath(tuple(path),
+                                               *optimize_chain(chain_from_path(net, path))))
+                    used.update((u, v) if u < v else (v, u) for u, v in zip(path, path[1:]))
+                routed, cumulative = multipath_greedy(net, s, d, 8, cost)
+                assert routed == expected
+                assert cumulative == list(itertools.accumulate(
+                    rp.evaluation.d_total for rp in expected))
+
+
 def test_multipath_validates_arguments():
     net = _net([(0, 1, 10)])
     for bad in (0, True, 2.0):

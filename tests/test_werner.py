@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from entroute import werner
 from entroute.dmsim import simulate_swap_step
 from entroute.werner import (NoiseParams, PERFECT, distillable,
                              distillable_per_pair, fidelity_to_w,
@@ -158,3 +159,24 @@ def test_per_pair_shape():
             assert value > prev
         prev = value
     assert distillable_per_pair(threshold) < 1e-3
+
+
+def test_distillable_below_the_root_is_the_floored_formula():
+    # Up to 0.81 the yield returns its floor without the logarithms; that
+    # must equal the floored formula on a dense grid up to past the root and
+    # on the floats next to 0.81.
+    def floored(f):
+        return max(0.0, 1.0 + f * math.log2(f) + (1.0 - f) * math.log2((1.0 - f) / 3.0))
+
+    fids = [0.25 + (0.82 - 0.25) * i / 20000 for i in range(20001)]
+    up = down = werner._BELOW_HASHING_ROOT
+    for _ in range(64):
+        up, down = math.nextafter(up, 1.0), math.nextafter(down, 0.0)
+        fids += [up, down]
+    for f in fids + [werner._BELOW_HASHING_ROOT]:
+        assert distillable_per_pair(f) == floored(f)
+    # The constant sits below the root 0.81071..., where the formula is
+    # negative by far more than rounding.
+    f = werner._BELOW_HASHING_ROOT
+    assert 1.0 + f * math.log2(f) + (1.0 - f) * math.log2((1.0 - f) / 3.0) < -1e-3
+    assert distillable_per_pair(0.8108) > 0.0
