@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .netgraph import Network, is_egr
+from .netgraph import Network, check_egr_range, is_egr
 from .purify import (MAX_CIRCUIT_K, _evaluate_cached, _rate, circuit_for, evaluate_circuit,
                      post_purification_rate)
 from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, distillable,
@@ -424,9 +424,7 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     segment, takes per segment the highest-W circuit with rate >= r, and
     scores r * d(F). The bound never falls as ``min_egr`` or ``max_egr`` rises.
     """
-    if not (is_egr(min_egr) and is_egr(max_egr) and min_egr <= max_egr):
-        raise ValueError("min and max EGR must be integers in 1..2**64, in order, "
-                         f"got [{min_egr!r}, {max_egr!r}]")
+    check_egr_range(min_egr, max_egr, "min and max EGR")
     if not (type(max_hops) is int and 1 <= max_hops <= MAX_CHAIN_HOPS):
         raise ValueError(f"max_hops must be an integer in 1..{MAX_CHAIN_HOPS}, got {max_hops!r}")
     swap = noise.swap_factor

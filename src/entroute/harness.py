@@ -15,16 +15,16 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from . import __version__
 from .chainopt import MAX_CHAIN_HOPS, Chain, optimize_chain
-from .netgraph import (GENERATOR_NAME, LATTICE_KINDS, MAX_EGR, TopologySpec,
-                       default_extent, endpoints_for_separation,
-                       generate_network, scaled_egr_range)
+from .netgraph import (GENERATOR_NAME, LATTICE_KINDS, TopologySpec, check_egr_range,
+                       default_extent, endpoints_for_separation, generate_network, is_egr,
+                       scaled_egr_range)
 from .routing import LinkCost, best_path_exhaustive, multipath_greedy, weighted_routes
 from .routing import shortest_weighted_path  # noqa: F401  (rebound by bench/layers.py)
-from .werner import NoiseParams
+from .werner import NoiseParams, check_fidelity
 
 EXPERIMENT_KINDS = ("chain-sweep", "route-compare", "multipath-compare")
 # A {start, count} seed range is built as a tuple; far above any real sweep.
@@ -61,80 +61,22 @@ class ExperimentConfig:
     multipath_cost: str = "inv_egr"
 
     def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise ConfigError(f"id: must be a string, got {self.id!r}")
-        if not isinstance(self.include_exhaustive, bool):
-            raise ConfigError(
-                f"include_exhaustive: must be true or false, got {self.include_exhaustive!r}")
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"kind: must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
-        if not self.seeds:
-            raise ConfigError("seeds: must be non-empty")
-        for name in ("seeds", "egr_range", "repeater_egr_range", "extent"):
-            values = getattr(self, name)
-            if values is not None and not all(map(_is_int, values)):
-                raise ConfigError(f"{name}: values must be integers, got {values!r}")
-        for name in ("chain_hops", "chain_egr", "hop_separation", "cutoff", "max_paths"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name}: must be an integer, got {getattr(self, name)!r}")
-        for name in ("gate_fidelities", "channel_fidelities"):
-            for value in getattr(self, name):
-                if not (_is_int(value) or isinstance(value, float)):
-                    raise ConfigError(f"{name}: values must be numbers, got {value!r}")
-        if not self.gate_fidelities:
-            raise ConfigError("gate_fidelities: must be non-empty")
-        for g in self.gate_fidelities:
-            # Sets eta too, and a swap with eta <= 0.5 leaves no entanglement.
-            if not 0.5 < g <= 1.0:
-                raise ConfigError(f"gate_fidelities: values must be in (0.5, 1], got {g}")
-        if not self.channel_fidelities:
-            raise ConfigError("channel_fidelities: must be non-empty")
-        for f in self.channel_fidelities:
-            if not 0.25 <= f <= 1.0:
-                raise ConfigError(f"channel_fidelities: values must be in [0.25, 1], got {f}")
-        if not 1 <= self.chain_hops <= MAX_CHAIN_HOPS:
-            raise ConfigError(f"chain_hops: must be 1..{MAX_CHAIN_HOPS}, got {self.chain_hops}")
-        if not 1 <= self.chain_egr <= MAX_EGR:
-            raise ConfigError(f"chain_egr: must be 1..2**64, got {self.chain_egr}")
-        if not self.topologies:
-            raise ConfigError("topologies: must be non-empty")
-        for kind in self.topologies:
-            if kind not in LATTICE_KINDS:
-                raise ConfigError(f"topologies: unknown lattice {kind!r}")
-        if self.hop_separation < 1:
-            raise ConfigError(f"hop_separation: must be >= 1, got {self.hop_separation}")
+        for name, (shape, test) in _RULES.items():
+            value = getattr(self, name)
+            try:
+                if shape == "one":
+                    test(value)
+                elif not (value is None and shape == "pair or none"):
+                    object.__setattr__(self, name, _tested(shape, test, value))
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
         rows, cols = self.resolved_extent()
-        if cols < self.hop_separation + 1 or rows < 1:
+        if cols <= self.hop_separation:
             raise ConfigError(
                 f"extent: {rows}x{cols} cannot hold hop separation {self.hop_separation}")
-        if not 1 <= self.egr_range[0] <= self.egr_range[1] <= MAX_EGR:
-            raise ConfigError(f"egr_range: invalid range {self.egr_range}, must be in 1..2**64")
-        if not 1 <= self.cutoff <= MAX_CHAIN_HOPS:
-            # A longer path has no purification plan to score.
-            raise ConfigError(f"cutoff: must be 1..{MAX_CHAIN_HOPS}, got {self.cutoff}")
         if self.kind == "route-compare" and not (self.cost_variants or self.include_exhaustive):
             raise ConfigError(
                 "cost_variants: must be non-empty when include_exhaustive is false")
-        for variant in self.cost_variants:
-            if variant not in [c.value for c in LinkCost]:
-                raise ConfigError(f"cost_variants: unknown cost {variant!r}")
-        if self.max_paths < 1:
-            raise ConfigError(f"max_paths: must be >= 1, got {self.max_paths}")
-        if self.egr_equivalence not in ("channel", "repeater"):
-            raise ConfigError(
-                f"egr_equivalence: must be 'channel' or 'repeater', got {self.egr_equivalence!r}")
-        # A repeater range inside 1..2**64 scales to a channel range inside it too.
-        if not 1 <= self.repeater_egr_range[0] <= self.repeater_egr_range[1] <= MAX_EGR:
-            raise ConfigError(f"repeater_egr_range: invalid range {self.repeater_egr_range}, "
-                              "must be in 1..2**64")
-        if self.multipath_cost not in [c.value for c in LinkCost]:
-            raise ConfigError(f"multipath_cost: unknown cost {self.multipath_cost!r}")
-        # A repeated value would run its cells again and write their rows twice.
-        for name in ("seeds", "gate_fidelities", "channel_fidelities", "topologies",
-                     "cost_variants"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ConfigError(f"{name}: values must be distinct, got {values!r}")
 
     def resolved_extent(self) -> tuple[int, int]:
         return self.extent if self.extent is not None else default_extent(self.hop_separation)
@@ -143,26 +85,15 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be an object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw) - _RULES.keys()
         if unknown:
             raise ConfigError(f"config: unknown fields {sorted(unknown)}")
-        for required in ("id", "kind"):
-            if required not in raw:
-                raise ConfigError(f"{required}: field is required")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in raw:
+                raise ConfigError(f"{f.name}: field is required")
         data = dict(raw)
         if "seeds" in data:
             data["seeds"] = _parse_seeds(data["seeds"])
-        pairs = ("egr_range", "repeater_egr_range", "extent")
-        for name in ("gate_fidelities", "channel_fidelities", "topologies",
-                     "cost_variants") + pairs:
-            if name not in data or (name == "extent" and data[name] is None):
-                continue
-            if not isinstance(data[name], (list, tuple)):
-                raise ConfigError(f"{name}: expected a list, got {data[name]!r}")
-            if name in pairs and len(data[name]) != 2:
-                raise ConfigError(f"{name}: expected two values, got {data[name]!r}")
-            data[name] = tuple(data[name])
         try:
             return cls(**data)
         except TypeError as exc:
@@ -186,16 +117,80 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_seeds(raw) -> tuple[int, ...]:
-    """A seed list or ``{start, count}`` as a tuple; the config checks the values."""
-    if isinstance(raw, dict) and all(map(_is_int, (raw.get("start"), raw.get("count")))):
-        if not 1 <= raw["count"] <= MAX_SEED_COUNT:
-            raise ConfigError(
-                f"seeds: count must be 1..{MAX_SEED_COUNT}, got {raw['count']}")
-        return tuple(range(raw["start"], raw["start"] + raw["count"]))
-    if isinstance(raw, (list, tuple)):
-        return tuple(raw)
-    raise ConfigError(f"seeds: expected a list of integers or {{start, count}}, got {raw!r}")
+def _parse_seeds(raw):
+    """A ``{start, count}`` seed range as a tuple; any other value is left as it is."""
+    if not isinstance(raw, dict):
+        return raw
+    if raw.keys() != {"start", "count"} or not all(map(_is_int, raw.values())):
+        raise ConfigError(f"seeds: a range must be {{start, count}} of integers, got {raw!r}")
+    if not 1 <= raw["count"] <= MAX_SEED_COUNT:
+        raise ConfigError(f"seeds: count must be 1..{MAX_SEED_COUNT}, got {raw['count']}")
+    return tuple(range(raw["start"], raw["start"] + raw["count"]))
+
+
+def _test(holds, want: str):
+    """A value test: it returns the value if ``holds(value)``, else raises ValueError."""
+    def test(value):
+        if not holds(value):
+            raise ValueError(f"must be {want}, got {value!r}")
+        return value
+    return test
+
+
+_NUMBER = _test(lambda v: _is_int(v) or isinstance(v, float), "a number")
+_POSITIVE = _test(lambda n: _is_int(n) and n >= 1, "an integer >= 1")
+# A longer chain or path has no purification plan to score.
+_HOPS = _test(lambda n: _is_int(n) and 1 <= n <= MAX_CHAIN_HOPS,
+              f"an integer in 1..{MAX_CHAIN_HOPS}")
+
+# Each field's rule: its shape and a test that raises ValueError on a bad
+# value, mostly the check of the module that owns the value. A shape is
+# "one" value; a "list" of distinct values, non-empty ("list or empty" may
+# be empty), each value tested; or a "pair" of values, tested as one value
+# ("pair or none" may be None). A list or pair is held as a tuple.
+_RULES = {
+    "id": ("one", _test(lambda v: isinstance(v, str), "a string")),
+    "kind": ("one", _test(lambda v: v in EXPERIMENT_KINDS, f"one of {EXPERIMENT_KINDS}")),
+    "seeds": ("list", _test(_is_int, "integers")),
+    # A gate fidelity sets both p2 and eta.
+    "gate_fidelities": ("list", lambda g: NoiseParams(_NUMBER(g), g)),
+    "channel_fidelities": ("list", lambda f: check_fidelity(_NUMBER(f))),
+    "chain_hops": ("one", _HOPS),
+    "chain_egr": ("one", _test(is_egr, "an EGR")),
+    "topologies": ("list", _test(lambda v: v in LATTICE_KINDS, f"one of {LATTICE_KINDS}")),
+    "hop_separation": ("one", _POSITIVE),
+    "extent": ("pair or none", lambda pair: tuple(map(_POSITIVE, pair))),
+    "egr_range": ("pair", lambda pair: check_egr_range(*pair)),
+    "cutoff": ("one", _HOPS),
+    "cost_variants": ("list or empty", LinkCost),
+    "include_exhaustive": ("one", _test(lambda v: isinstance(v, bool), "true or false")),
+    "max_paths": ("one", _POSITIVE),
+    "egr_equivalence": ("one", _test(lambda v: v in ("channel", "repeater"),
+                                     "'channel' or 'repeater'")),
+    # A repeater range of EGRs scales to a channel range of EGRs on every lattice.
+    "repeater_egr_range": ("pair", lambda pair: check_egr_range(*pair)),
+    "multipath_cost": ("one", LinkCost),
+}
+
+
+def _tested(shape: str, test, values) -> tuple:
+    """``values``, a list or pair of the given shape, as a tested tuple."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"expected a list, got {values!r}")
+    values = tuple(values)
+    if shape.startswith("pair"):
+        if len(values) != 2:
+            raise ValueError(f"expected two values, got {values!r}")
+        test(values)
+    elif not values and shape == "list":
+        raise ValueError("must be non-empty")
+    else:
+        for value in values:
+            test(value)
+        # A repeated value would run its cells again and write their rows twice.
+        if len(set(values)) != len(values):
+            raise ValueError(f"values must be distinct, got {values!r}")
+    return values
 
 
 @dataclass(frozen=True)

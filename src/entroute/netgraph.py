@@ -34,6 +34,12 @@ def is_egr(egr) -> bool:
     return not isinstance(egr, bool) and isinstance(egr, int) and 1 <= egr <= MAX_EGR
 
 
+def check_egr_range(lo, hi, what: str = "egr range bounds") -> None:
+    """Raise ValueError, naming ``what``, unless ``lo`` and ``hi`` are EGRs with lo <= hi."""
+    if not (is_egr(lo) and is_egr(hi) and lo <= hi):
+        raise ValueError(f"{what} must be integers in 1..2**64, in order, got [{lo!r}, {hi!r}]")
+
+
 def splitmix64(seed: int):
     """Infinite stream of 64-bit integers from the splitmix64 generator."""
     state = seed & _MASK64
@@ -90,9 +96,7 @@ class TopologySpec:
                 raise ValueError(f"extent must be two positive integers, got {self.extent!r}")
         if rows * cols < 2:
             raise ValueError(f"extent {self.extent} has fewer than 2 nodes")
-        if not (is_egr(self.egr_min) and is_egr(self.egr_max) and self.egr_min <= self.egr_max):
-            raise ValueError("egr range bounds must be integers in 1..2**64, in order, "
-                             f"got [{self.egr_min!r}, {self.egr_max!r}]")
+        check_egr_range(self.egr_min, self.egr_max)
         check_fidelity(self.raw_fidelity)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")

@@ -476,6 +476,65 @@ def test_config_from_dict_diagnostics():
                                     "include_exhaustive": "false"})
 
 
+@pytest.mark.parametrize("seeds", [
+    {"start": 1, "count": 3, "step": 2}, {"start": 1, "count": 3, "stop": 9},
+    {"start": 1}, {"count": 3}, {},
+], ids=("step", "stop", "no-count", "no-start", "empty"))
+def test_seed_ranges_take_exactly_start_and_count(seeds):
+    # Another key would be dropped silently: a step of 2 would still give 1, 2, 3.
+    with pytest.raises(ConfigError, match="^seeds: "):
+        ExperimentConfig.from_dict({"id": "x", "kind": "chain-sweep", "seeds": seeds})
+
+
+def test_config_holds_its_lists_as_tuples():
+    raw = {"id": "x", "kind": "route-compare", "seeds": [3, 1], "extent": [4, 9],
+           "egr_range": [8, 9], "cost_variants": []}
+    for config in (ExperimentConfig.from_dict(raw), ExperimentConfig(**raw)):
+        assert (config.seeds, config.extent, config.egr_range) == ((3, 1), (4, 9), (8, 9))
+        assert config.cost_variants == ()
+        assert hash(config) == hash(ExperimentConfig.from_dict(raw))
+
+# One bad value for each config field, set alone on a route-compare config.
+BAD_FIELD_VALUES = {
+    "id": 7,
+    "kind": "other",
+    "seeds": [1, 1],
+    "gate_fidelities": [0.5],
+    "channel_fidelities": [1.01],
+    "chain_hops": MAX_CHAIN_HOPS + 1,
+    "chain_egr": 0,
+    "topologies": ["ring"],
+    "hop_separation": 0,
+    "extent": [5, 4],  # no room for the default hop separation, 4
+    "egr_range": [32, 8],
+    "cutoff": 0,
+    "cost_variants": ["hops"],
+    "include_exhaustive": "false",
+    "max_paths": 0,
+    "egr_equivalence": "node",
+    "repeater_egr_range": [1, MAX_EGR + 1],
+    "multipath_cost": "egr",
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_cli_rejects_a_bad_value_of_each_field_in_one_line(tmp_path, monkeypatch, capsys,
+                                                           field):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"id": "x", "kind": "route-compare",
+                                       field: BAD_FIELD_VALUES[field]}))
+
+    def never_run(config):
+        raise AssertionError("the config was accepted")
+    monkeypatch.setattr(cli, "run_experiment", never_run)
+    capsys.readouterr()
+    assert main(["route", "--config", str(config_path), "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"entroute: config error: {field}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda children: (st.lists(children, max_size=4)

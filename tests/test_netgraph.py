@@ -7,6 +7,7 @@ from statistics import mean
 import pytest
 
 from entroute import netgraph
+from entroute.chainopt import MAX_CHAIN_HOPS, d_bound_by_hops
 from entroute.netgraph import (LATTICE_KINDS, Channel, Network, TopologySpec, default_extent,
                                endpoints_for_separation, generate_network,
                                network_from_json, network_to_json, repeater_egr,
@@ -281,6 +282,19 @@ def test_spec_validation():
         Channel(0, 1, 8, True)
     with pytest.raises(ValueError, match="fidelity"):
         TopologySpec("square", (2, 2), 8, 8, True, 1)
+
+
+def test_one_egr_range_rule_keeps_each_callers_message():
+    rule = r" must be integers in 1\.\.2\*\*64, in order, got \[9, 8\]$"
+    with pytest.raises(ValueError, match="^egr range bounds" + rule):
+        TopologySpec("square", (3, 3), 9, 8, 0.99, seed=1)
+    with pytest.raises(ValueError, match="^min and max EGR" + rule):
+        d_bound_by_hops(0.9, NoiseParams(), 9, 8, MAX_CHAIN_HOPS)
+    netgraph.check_egr_range(8, 8)
+    netgraph.check_egr_range(1, netgraph.MAX_EGR)
+    for lo, hi in ((9, 8), (0, 8), (8, netgraph.MAX_EGR + 1), (True, 8), (8, 9.0)):
+        with pytest.raises(ValueError, match="^egr range bounds"):
+            netgraph.check_egr_range(lo, hi)
 
 
 def test_channel_endpoints_canonicalized():
