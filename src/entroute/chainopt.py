@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from operator import itemgetter
 
-from .netgraph import Network, check_egr_range, is_egr
+from .netgraph import Network, check_egr, check_egr_range
 from .purify import (MAX_CIRCUIT_K, _evaluate_cached, _rate, circuit_for, evaluate_circuit,
                      post_purification_rate)
 from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, distillable,
@@ -48,8 +49,7 @@ class Chain:
         if len(self.egrs) < 1:
             raise ValueError("chain must have at least one hop")
         for egr in self.egrs:
-            if not is_egr(egr):
-                raise ValueError(f"hop egr must be an integer in 1..2**64, got {egr!r}")
+            check_egr(egr, "hop egr")
         for f in self.fidelities:
             check_fidelity(f)
 
@@ -145,31 +145,11 @@ def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
     """
     if not 1 <= max_k <= MAX_CIRCUIT_K:
         raise ValueError(f"circuit width k must be in 1..{MAX_CIRCUIT_K}, got {max_k}")
-    rows = _evaluate_cached(f_raw, p2, eta)
+    rows = _evaluate_cached(f_raw, p2, eta)[0]
     if min_egr < 0:
         raise ValueError(f"egr must be >= 0, got {min_egr}")
     return tuple([(w, f_out, -k, p_succ * float(min_egr // k)) for k, (f_out, p_succ, w)
                   in enumerate(rows[:max_k], 1)])
-
-
-@lru_cache(maxsize=4096, typed=True)
-def _ceiling_circuit(f_raw: float, p2: float, eta: float,
-                     max_k: int) -> tuple[float, float, int, float]:
-    """The highest-(W, f_out, -k) circuit of width at most ``max_k`` on a
-    segment at ``f_raw``, as (W, f_out, -k, p_succ).
-
-    It is ``_segment_table``'s greatest row with p_succ in place of the
-    rate: rows differ in -k, so the rate never decides, and no EGR enters.
-    The cache is typed, so a bool misses the entry of 1.0 and is rejected.
-    """
-    rows = _evaluate_cached(f_raw, p2, eta)
-    f_top, p_top, w_top = rows[0]
-    k = k_top = 1
-    for f_out, p_succ, w in rows[1:max_k]:
-        k += 1
-        if w > w_top or (w == w_top and f_out > f_top):
-            f_top, p_top, w_top, k_top = f_out, p_succ, w, k
-    return w_top, f_top, -k_top, p_top
 
 
 @lru_cache(maxsize=4096)
@@ -187,7 +167,7 @@ def _uniform_segments(f_raw: float, noise: NoiseParams, max_egr: int
     circuits = tuple((hops, w * swap, k, p_succ)
                      for hops in range(1, MAX_SEGMENT_HOPS + 1)
                      for k, (_, p_succ, w) in enumerate(_evaluate_cached(
-                         swap_fidelity([f_raw] * hops, noise), noise.p2, noise.eta), 1))
+                         swap_fidelity([f_raw] * hops, noise), noise.p2, noise.eta)[0], 1))
     return circuits, tuple((_rate(max_egr, k, p_succ), False, hops, w_swap)
                            for hops, w_swap, k, p_succ in circuits)
 
@@ -281,8 +261,9 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
     ceiling pass comes first: each slice of the chain takes its highest-W
     circuit, and a DP over segment boundaries keeps, per segment count, the
     highest-W cover. Its best fidelity F_c is the highest any plan reaches.
-    A slice's highest-W circuit does not depend on EGR, so this pass reads
-    no per-EGR circuit table: only the chosen circuit is rated.
+    A slice's highest-W circuit does not depend on EGR: it is the width that
+    ``purify._evaluate_cached`` names as the best up to ``max_k``, so this
+    pass reads no per-EGR circuit table, and only that circuit is rated.
     When d(F_c) is 0, every plan has D = 0, plans rank by fidelity and the
     tie-breaks alone, and the ceiling's best cover is the answer. (At F_c =
     1/4 a hop holds no entanglement and every plan ties at 1/4, whatever its
@@ -347,8 +328,10 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
             f_raw = fids[start] if end == start + 1 else 0.25 + scales[end - start - 1] * w
             slices.append((end, end - start, f_raw, min_egr))
             # Rated as _segment_table rates it, so it is that table's max.
-            top_w, f_out, neg_k, p_succ = _ceiling_circuit(f_raw, p2, eta, max_k)
-            ceiling[end][end - start] = (top_w, f_out, neg_k, p_succ * float(min_egr // -neg_k))
+            outcomes, tops = _evaluate_cached(f_raw, p2, eta)
+            k = tops[max_k - 1]
+            f_out, p_succ, top_w = outcomes[k - 1]
+            ceiling[end][end - start] = (top_w, f_out, -k, p_succ * float(min_egr // k))
     states: list[dict[int, tuple]] = [{0: (1.0, (), (), math.inf)}] + [{} for _ in range(n)]
     _cover(ceiling, states, 0, swap)
     f_ceiling = max(fid for fid, *_ in states[n].values())
@@ -371,12 +354,10 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
         # ``dead`` is rebuilt at the next pass. None once a pass may distil.
         g = [1.0] + [0.0] * n
         dead = 0 if d_ceiling > 0.0 else None
-        i = 0
-        while i < len(rows) and rows[i][0] * reach >= bar:
-            threshold = rows[i][0]
-            while i < len(rows) and rows[i][0] == threshold:
-                _, end, hops, circuit = rows[i]
-                i += 1
+        for threshold, group in groupby(rows, key=itemgetter(0)):
+            if threshold * reach < bar:
+                break
+            for _, end, hops, circuit in group:
                 held = admitted[end].get(hops)
                 if held is None or circuit > held:
                     admitted[end][hops] = circuit
@@ -437,8 +418,6 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
             for hops, w_swap, k, p_succ in circuits]
     rows += free_rows
     rows.sort(key=itemgetter(0), reverse=True)
-    # Below any stop: it closes the last threshold group and ends the sweep.
-    rows.append((-1.0, False, 0, 0.0))
     bound = [0.0] * (max_hops + 1)
     # The highest W * swap per segment length at least as fast as the
     # current threshold, for segments rated at max_egr (free) and at min_egr
@@ -449,42 +428,40 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     # min-EGR segment, at the current threshold.
     without = [1.0] + [0.0] * max_hops
     with_min = [0.0] * (max_hops + 1)
-    threshold = math.inf
-    for rate, pinned, hops, w_swap in rows:
-        if rate != threshold:
-            # Every row at the threshold is admitted: score it, unless no
-            # segment holding the minimum hop is that fast.
-            if threshold <= min_egr:
-                reach = threshold * _BOUND_SLACK
-                raised = False
-                for length in range(1, max_hops + 1):
-                    best_without = best_with = 0.0
-                    for rest, seg in _SPLITS[length]:
-                        value = without[rest] * free[seg]
-                        if value > best_without:
-                            best_without = value
-                        value = with_min[rest] * free[seg]
-                        pin = without[rest] * held[seg]
-                        if pin > value:
-                            value = pin
-                        if value > best_with:
-                            best_with = value
-                    without[length] = best_without
-                    # Products only rise as the threshold falls; one that did
-                    # not rise scores lower than at the last threshold.
-                    if best_with > with_min[length]:
-                        with_min[length] = best_with
-                        if reach > bound[length]:
-                            fid = min(1.0, 0.25 + 0.75 * best_with / swap)
-                            bound[length] = max(bound[length],
-                                                reach * distillable_per_pair(fid))
-                            raised = True
-                if raised:
-                    stop = min(bound[1:])
-            if rate * _BOUND_SLACK < stop:
-                break
-            threshold = rate
-        admitted = held if pinned else free
-        if w_swap > admitted[hops]:
-            admitted[hops] = w_swap
+    for threshold, group in groupby(rows, key=itemgetter(0)):
+        reach = threshold * _BOUND_SLACK
+        if reach < stop:
+            break
+        for _, pinned, hops, w_swap in group:
+            admitted = held if pinned else free
+            if w_swap > admitted[hops]:
+                admitted[hops] = w_swap
+        # Every row at the threshold is admitted: score it, unless no
+        # segment holding the minimum hop is that fast.
+        if threshold > min_egr:
+            continue
+        raised = False
+        for length in range(1, max_hops + 1):
+            best_without = best_with = 0.0
+            for rest, seg in _SPLITS[length]:
+                value = without[rest] * free[seg]
+                if value > best_without:
+                    best_without = value
+                value = with_min[rest] * free[seg]
+                pin = without[rest] * held[seg]
+                if pin > value:
+                    value = pin
+                if value > best_with:
+                    best_with = value
+            without[length] = best_without
+            # Products only rise as the threshold falls; one that did not
+            # rise scores lower than at the last threshold.
+            if best_with > with_min[length]:
+                with_min[length] = best_with
+                if reach > bound[length]:
+                    fid = min(1.0, 0.25 + 0.75 * best_with / swap)
+                    bound[length] = max(bound[length], reach * distillable_per_pair(fid))
+                    raised = True
+        if raised:
+            stop = min(bound[1:])
     return tuple(bound)

@@ -19,8 +19,8 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 from . import __version__
 from .chainopt import MAX_CHAIN_HOPS, Chain, optimize_chain
-from .netgraph import (GENERATOR_NAME, LATTICE_KINDS, TopologySpec, check_egr_range,
-                       default_extent, endpoints_for_separation, generate_network, is_egr,
+from .netgraph import (GENERATOR_NAME, LATTICE_KINDS, TopologySpec, check_egr, check_egr_range,
+                       default_extent, endpoints_for_separation, generate_network,
                        scaled_egr_range)
 from .routing import LinkCost, best_path_exhaustive, multipath_greedy, weighted_routes
 from .routing import shortest_weighted_path  # noqa: F401  (rebound by bench/layers.py)
@@ -156,7 +156,7 @@ _RULES = {
     "gate_fidelities": ("list", lambda g: NoiseParams(_NUMBER(g), g)),
     "channel_fidelities": ("list", lambda f: check_fidelity(_NUMBER(f))),
     "chain_hops": ("one", _HOPS),
-    "chain_egr": ("one", _test(is_egr, "an EGR")),
+    "chain_egr": ("one", lambda egr: check_egr(egr, "chain egr")),
     "topologies": ("list", _test(lambda v: v in LATTICE_KINDS, f"one of {LATTICE_KINDS}")),
     "hop_separation": ("one", _POSITIVE),
     "extent": ("pair or none", lambda pair: tuple(map(_POSITIVE, pair))),

@@ -34,6 +34,12 @@ def is_egr(egr) -> bool:
     return not isinstance(egr, bool) and isinstance(egr, int) and 1 <= egr <= MAX_EGR
 
 
+def check_egr(egr, what: str) -> None:
+    """Raise ValueError, naming ``what``, unless ``egr`` is an EGR."""
+    if not is_egr(egr):
+        raise ValueError(f"{what} must be an integer in 1..2**64, got {egr!r}")
+
+
 def check_egr_range(lo, hi, what: str = "egr range bounds") -> None:
     """Raise ValueError, naming ``what``, unless ``lo`` and ``hi`` are EGRs with lo <= hi."""
     if not (is_egr(lo) and is_egr(hi) and lo <= hi):
@@ -67,8 +73,7 @@ class Channel:
             lo, hi = self.v, self.u
             object.__setattr__(self, "u", lo)
             object.__setattr__(self, "v", hi)
-        if not is_egr(self.egr):
-            raise ValueError(f"channel egr must be an integer in 1..2**64, got {self.egr!r}")
+        check_egr(self.egr, "channel egr")
         check_fidelity(self.raw_fidelity)
 
     @property

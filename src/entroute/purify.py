@@ -13,8 +13,8 @@ their subtrees, so their schedule has 7 steps, and one fold gives every
 width's (f_out, p_succ, W) at one input fidelity and noise. The fold is the
 only copy of the purify step's formula, run inline with no call per step;
 ``purify_pair`` is a one-step fold. This module owns the one cache of those
-rows, per (f_in, p2, eta); the chain optimizer reads it directly. A
-non-standard tree folds its own schedule, uncached.
+rows and of the best width under each cap, per (f_in, p2, eta), which the
+chain optimizer reads. A non-standard tree folds its own schedule, uncached.
 """
 
 from __future__ import annotations
@@ -173,13 +173,21 @@ def purify_pair(f1: float, f2: float, noise: NoiseParams = PERFECT) -> CircuitOu
 
 
 @lru_cache(maxsize=4096, typed=True)
-def _evaluate_cached(f_in: float, p2: float, eta: float) -> tuple[tuple[float, float, float], ...]:
-    """Row k - 1 is (f_out, p_succ, W) of the standard width-k circuit at
-    input ``f_in``: one fold of the 7 shared steps, not the 28 of eight
-    separate trees. No EGR enters, so every segment at one fidelity and
-    noise reads the same entry. The cache is typed, so a bool misses the
-    entry of 1.0 and is rejected."""
-    return _fold(_STEPS, _ROOTS, (f_in,), p2, eta)
+def _evaluate_cached(f_in: float, p2: float, eta: float) -> tuple[tuple, tuple[int, ...]]:
+    """(rows, tops) at input ``f_in``. Row k - 1 is (f_out, p_succ, W) of the
+    standard width-k circuit: one fold of the 7 shared steps, not the 28 of
+    eight separate trees. tops[m - 1] is the best width in 1..m: the highest
+    (W, f_out), the smaller width on a tie. No EGR enters, so every segment
+    at one fidelity and noise reads the same entry. The cache is typed, so a
+    bool misses the entry of 1.0 and is rejected."""
+    rows = _fold(_STEPS, _ROOTS, (f_in,), p2, eta)
+    f_top, _, w_top = rows[0]
+    top, tops = 1, [1]
+    for k, (f_out, _, w) in enumerate(rows[1:], 2):
+        if w > w_top or (w == w_top and f_out > f_top):
+            top, f_top, w_top = k, f_out, w
+        tops.append(top)
+    return rows, tuple(tops)
 
 
 def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
@@ -193,7 +201,7 @@ def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
     """
     check_fidelity(f_in)
     if circuit == circuit_for(circuit.k):
-        f_out, p_succ, _ = _evaluate_cached(f_in, noise.p2, noise.eta)[circuit.k - 1]
+        f_out, p_succ, _ = _evaluate_cached(f_in, noise.p2, noise.eta)[0][circuit.k - 1]
     else:
         f_out, p_succ, _ = _fold(*_schedule((circuit.tree,)), (f_in,), noise.p2, noise.eta)[0]
     return CircuitOutcome(f_out=f_out, p_succ=p_succ)

@@ -241,11 +241,12 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
     ``chainopt.d_bound_by_hops`` at the network's highest raw fidelity, for
     that minimum EGR and the network's maximum EGR, which bounds rate and
     fidelity together, and a prefix is cut when no reachable path length
-    beats the best D. That bound never falls as the minimum EGR rises, and
-    the best D never falls; so a minimum EGR whose bound is not yet held
-    first reads the bounds held for the nearest larger and smaller ones, and
-    a prefix that the larger one already cuts, or the smaller one already
-    lets through, costs no new bound.
+    beats the best D, or ties it with no more hops than the best path. That
+    bound never falls as the minimum EGR rises, and the best D never falls;
+    so a minimum EGR whose bound is not yet held first reads the bounds held
+    for the nearest larger and smaller ones, and a prefix that the larger
+    one already cuts, or the smaller one already lets through, costs no new
+    bound.
 
     The search starts from the weighted shortest paths and their plans, so
     the bounds start tight. They are ``weighted_routes``' result, which
@@ -269,9 +270,10 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
 
     best: RoutedPath | None = None
     best_d = -1.0
+    best_hops = 0
 
     def consider(path, result) -> None:
-        nonlocal best, best_d
+        nonlocal best, best_d, best_hops
         if result is None:
             return
         plan, evaluation = result
@@ -281,6 +283,7 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
         ):
             best = RoutedPath(path, plan, evaluation)
             best_d = evaluation.d_total
+            best_hops = len(path) - 1
 
     seeded = set()
     for path, result in seeds.values():
@@ -293,6 +296,8 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
             return True
         if best is None:
             return False
+        # Every path through the prefix has at least ``hops`` hops: at a bound
+        # equal to the best D, more hops than the best path's only lose a tie.
         hops = hops_used + hops_to_go
         held = bounds.get(min_egr)
         if held is None:
@@ -306,13 +311,17 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
                         larger = egr
                 elif smaller is None or egr > smaller:
                     smaller = egr
-            if larger is not None and bounds[larger][hops] < best_d:
-                return True
-            if smaller is not None and bounds[smaller][hops] >= best_d:
-                return False
+            if larger is not None:
+                bound = bounds[larger][hops]
+                if bound < best_d or (bound == best_d and hops > best_hops):
+                    return True
+            if smaller is not None:
+                bound = bounds[smaller][hops]
+                if bound > best_d or (bound == best_d and hops <= best_hops):
+                    return False
             bound = d_bound_by_hops(f_raw, net.noise, min_egr, top, cutoff)
             held = bounds[min_egr] = [max(bound[length:]) for length in range(cutoff + 1)]
-        return held[hops] < best_d
+        return held[hops] < best_d or (held[hops] == best_d and hops > best_hops)
 
     for path in _iter_simple_paths(net, s, d, cutoff, prune=prune):
         path = tuple(path)

@@ -580,12 +580,11 @@ def test_optimize_never_below_the_relaxation():
 
 
 def test_fidelity_keyed_caches_are_bounded():
-    caches = (chainopt._segment_table, chainopt._ceiling_circuit, chainopt._uniform_segments,
-              d_bound_by_hops, purify._evaluate_cached, routing._bfs_hops)
+    caches = (chainopt._segment_table, chainopt._uniform_segments, d_bound_by_hops,
+              purify._evaluate_cached, routing._bfs_hops)
     maxsize = max(cache.cache_info().maxsize for cache in caches)
     for i in range(maxsize + 100):
         chainopt._segment_table(0.9 + i * 1e-6, 16, 1.0, 1.0, 8)
-        chainopt._ceiling_circuit(0.9 + i * 1e-6, 1.0, 1.0, 8)
         chainopt._uniform_segments(0.9 + i * 1e-6, PERFECT, 16)
         d_bound_by_hops(0.9 + i * 1e-6, PERFECT, 16, 16, 3)
         routing._bfs_hops(Network([Channel(0, 1, 16, 0.9)]), 1)
@@ -596,15 +595,18 @@ def test_fidelity_keyed_caches_are_bounded():
 
 
 def test_ceiling_circuit_is_the_segment_tables_greatest_row():
-    # The ceiling pass rates the EGR-free highest-(W, f_out, -k) circuit as
-    # _segment_table rates its rows, so it is that table's max to the bit.
+    # The ceiling pass rates the EGR-free highest-(W, f_out, -k) circuit, the
+    # width the cached fold's tops name, as _segment_table rates its rows, so
+    # it is that table's max to the bit.
     for f in (0.25, 0.5, 0.6, 0.81, 0.91, 0.97, 0.99, 1.0):
         for p2, eta in ((1.0, 1.0), (0.99, 0.99), (0.9, 0.95), (1.0, 0.99)):
+            rows, tops = purify._evaluate_cached(f, p2, eta)
             for max_k in range(1, purify.MAX_CIRCUIT_K + 1):
-                w, f_out, neg_k, p_succ = chainopt._ceiling_circuit(f, p2, eta, max_k)
+                k = tops[max_k - 1]
+                f_out, p_succ, w = rows[k - 1]
                 for egr in (1, 2, 3, 7, 16, 129, 2**64):
                     assert max(chainopt._segment_table(f, egr, p2, eta, max_k)) == (
-                        w, f_out, neg_k, p_succ * float(egr // -neg_k))
+                        w, f_out, -k, p_succ * float(egr // k))
 
 
 def test_a_chain_that_cannot_distil_reads_no_segment_table():

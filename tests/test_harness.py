@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,14 +12,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from entroute import cli, harness, routing
-from entroute.chainopt import (MAX_CHAIN_HOPS, chain_from_path, evaluate_plan,
+from entroute.chainopt import (MAX_CHAIN_HOPS, Chain, chain_from_path, evaluate_plan,
                                no_purification_plan, optimize_chain)
 from entroute.cli import main
 from entroute.harness import (EXPERIMENT_KINDS, MAX_SEED_COUNT, ConfigError,
                               ExperimentConfig, RESULT_FIELDS, ResultRow, build_metadata,
                               run_experiment, write_results)
-from entroute.netgraph import (LATTICE_KINDS, MAX_EGR, TopologySpec, generate_network,
-                               endpoints_for_separation)
+from entroute.netgraph import (LATTICE_KINDS, MAX_EGR, Channel, TopologySpec,
+                               generate_network, endpoints_for_separation)
 from entroute.routing import LinkCost, best_path_exhaustive, shortest_weighted_path
 from entroute.werner import NoiseParams
 
@@ -379,6 +380,18 @@ def test_config_rejects_egr_ranges_wider_than_a_draw():
     for chain_egr in (2**64 + 1, 10**400):
         with pytest.raises(ConfigError, match="chain_egr"):
             _chain_config(chain_egr=chain_egr)
+
+
+def test_every_single_egr_check_states_the_range_in_one_message():
+    # A channel, a chain hop and the chain_egr field share netgraph.check_egr.
+    for bad in (0, -1, True, 16.0, MAX_EGR + 1):
+        want = re.escape(f"must be an integer in 1..2**64, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^channel egr {want}$"):
+            Channel(0, 1, bad, 0.9)
+        with pytest.raises(ValueError, match=f"^hop egr {want}$"):
+            Chain((16, bad), (0.9, 0.9))
+        with pytest.raises(ConfigError, match=f"^chain_egr: chain egr {want}$"):
+            _chain_config(chain_egr=bad)
 
 
 def test_cli_rejects_a_wide_egr_range_as_a_config_error(tmp_path, monkeypatch, capsys):

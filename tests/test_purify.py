@@ -272,10 +272,23 @@ def test_circuit_rows_are_nondecreasing_in_the_input_fidelity():
     # check is exact. The wrapped fold keeps the grid out of the cache.
     grid = _fidelity_grid(600)
     for p2, eta in MONOTONE_NOISE:
-        rows = [purify._evaluate_cached.__wrapped__(f, p2, eta) for f in grid]
+        rows = [purify._evaluate_cached.__wrapped__(f, p2, eta)[0] for f in grid]
         for lower, higher in zip(rows, rows[1:]):
             for low, high in zip(lower, higher):
                 assert all(b >= a for a, b in zip(low, high))
+
+
+def test_tops_name_the_best_width_under_each_cap():
+    # tops[m - 1] is the brute-force argmax of (W, f_out, -k) over widths
+    # 1..m. The grid holds the fixed points F = 1/4 and, with perfect gates,
+    # F = 1/2, where widths tie to the last bit, and F = 1.
+    for p2, eta in ((1.0, 1.0), (0.99, 0.99), (0.9, 0.95), (1e-3, 0.5000001)):
+        for f in _fidelity_grid(12) + [0.5, 0.91, 0.99]:
+            rows, tops = purify._evaluate_cached(f, p2, eta)
+            assert len(tops) == purify.MAX_CIRCUIT_K
+            for m in range(1, purify.MAX_CIRCUIT_K + 1):
+                best = max((rows[k - 1][2], rows[k - 1][0], -k) for k in range(1, m + 1))
+                assert tops[m - 1] == -best[2]
 
 
 def _step_formula(f1, f2, p2, eta):
@@ -320,7 +333,7 @@ def test_fold_rejects_what_noise_params_rejects():
         with pytest.raises(ValueError, match=field):
             chainopt._segment_table(f, 16, p2, eta, 8)
     for p2, eta in ((1e-3, 1.0), (1.0, 0.5000001), (1e-3, 0.5000001)):
-        rows = purify._evaluate_cached(f, p2, eta)
+        rows = purify._evaluate_cached(f, p2, eta)[0]
         assert len(rows) == purify.MAX_CIRCUIT_K
         assert chainopt._segment_table(f, 16, p2, eta, 8)[0] == (rows[0][2], f, -1, 16.0)
 
@@ -330,11 +343,9 @@ def test_fold_rejects_a_bool_fidelity():
     # does. The typed caches first hold the entries of F = 1.0, so none of
     # them answers the equal key True.
     purify._evaluate_cached(1.0, 1.0, 1.0)
-    chainopt._ceiling_circuit(1.0, 1.0, 1.0, 8)
     chainopt._segment_table(1.0, 16, 1.0, 1.0, 2)
     for call in (lambda: purify_pair(True, 0.9), lambda: purify_pair(0.9, True),
                  lambda: purify._evaluate_cached(True, 1.0, 1.0),
-                 lambda: chainopt._ceiling_circuit(True, 1.0, 1.0, 8),
                  lambda: chainopt._segment_table(True, 16, 1.0, 1.0, 2)):
         with pytest.raises(ValueError, match="fidelity"):
             call()

@@ -368,26 +368,84 @@ def test_exhaustive_matches_brute_force(kind, extent, hops, cutoff):
 def test_exhaustive_without_seeds_breaks_zero_d_ties_like_brute_force(monkeypatch):
     # Nothing distills from these channels, so every path ties at D = 0 and
     # the joint bound reads exactly the best D found. A prefix whose bound
-    # only equals it may still hold a shorter path, which must win the tie.
-    # A held bound equal to the best D already lets a prefix through, so a
-    # bound is built only for a minimum EGR below every one held.
-    built = []
+    # only equals it may still hold a shorter path, which must win the tie;
+    # one whose paths are all longer than the best path is cut. The search
+    # walks paths in node order, so the paths it optimizes never grow longer.
+    # Every held bound is 0, so the nearest larger minimum EGR's bound cuts a
+    # longer prefix and the nearest smaller one's lets any other through: a
+    # bound is built only for a minimum EGR above or below every one held.
+    built, optimized = [], []
 
     def bound(f_raw, noise, min_egr, *args):
         built.append(min_egr)
         return d_bound_by_hops(f_raw, noise, min_egr, *args)
-    d_bound_by_hops = routing.d_bound_by_hops
+
+    def optimize(chain, floor):
+        optimized.append(chain.n_hops)
+        return optimize_floored(chain, floor)
+    d_bound_by_hops, optimize_floored = routing.d_bound_by_hops, routing._optimize_floored
     monkeypatch.setattr(routing, "d_bound_by_hops", bound)
-    extent = (3, 5)
-    s, d = endpoints_for_separation(extent, 3)
-    for f_raw, noise in ((0.5, PERFECT), (0.6, NoiseParams(0.9, 0.9))):
-        net = generate_network(TopologySpec("triangular", extent, 8, 32, f_raw, seed=1), noise)
+    monkeypatch.setattr(routing, "_optimize_floored", optimize)
+    cells = itertools.product((("triangular", (3, 5), 1, 6), ("square", (4, 5), 2, 7),
+                               ("hexagonal", (4, 6), 2, 8)),
+                              ((0.5, PERFECT), (0.6, NoiseParams(0.9, 0.9))))
+    for (kind, extent, seed, cutoff), (f_raw, noise) in cells:
+        s, d = endpoints_for_separation(extent, 3)
+        net = generate_network(TopologySpec(kind, extent, 8, 32, f_raw, seed=seed), noise)
         built.clear()
-        best = best_path_exhaustive(net, s, d, 6, {})
+        optimized.clear()
+        best = best_path_exhaustive(net, s, d, cutoff, {})
         assert best.evaluation.d_total == 0.0
         assert (best.evaluation.d_total, list(best.path)) == _brute_force_exhaustive(
-            net, s, d, 6)
-        assert len(built) > 1 and all(a > b for a, b in zip(built, built[1:]))
+            net, s, d, cutoff)
+        assert len(built) > 1
+        assert all(egr > max(built[:i]) or egr < min(built[:i])
+                   for i, egr in enumerate(built) if i)
+        assert optimized and all(a >= b for a, b in zip(optimized, optimized[1:]))
+
+
+@pytest.mark.parametrize("kind,extent,ends,cutoff", [
+    ("triangular", (3, 5), (5, 8), 6), ("square", (4, 5), (10, 13), 7),
+    ("hexagonal", (4, 6), (13, 16), 8), ("square", (3, 4), (0, 11), 7)])
+def test_exhaustive_matches_brute_force_where_nothing_distils(kind, extent, ends, cutoff):
+    # Every path ties at D = 0, so the fewest hops, then node order, decide;
+    # prefixes that can only tie and are longer than the best path are cut.
+    # Seeded with any one fewest-hop path, the search must still reach the
+    # first in node order; corner to corner, a square lattice has several.
+    s, d = ends
+    for seed in (1, 2, 3, 4):
+        for f_raw, noise in ((0.5, PERFECT), (0.6, NoiseParams(0.9, 0.9)), (0.88, NOISY)):
+            net = generate_network(TopologySpec(kind, extent, 8, 32, f_raw, seed=seed), noise)
+            paths = enumerate_paths(net, s, d, cutoff)
+            fewest = min(map(len, paths))
+            lone = [{LinkCost.INV_EGR: (tuple(path), optimize_chain(chain_from_path(net, path)))}
+                    for path in paths if len(path) == fewest]
+            want = (0.0, _brute_force_exhaustive(net, s, d, cutoff)[1])
+            for seeds in (None, {}, *lone):
+                best = best_path_exhaustive(net, s, d, cutoff, seeds)
+                assert (best.evaluation.d_total, list(best.path)) == want
+
+
+def test_exhaustive_where_nothing_distils_optimizes_few_paths(monkeypatch):
+    # Route-compare cells at hop 4 and cutoff 10: 0.91 channels under p2 =
+    # eta = 0.99 distil nothing, and the seeded fewest-hop path wins the tie
+    # at D = 0. Were prefixes cut only below the best D, the search would
+    # optimize 76,952 paths here.
+    calls = []
+
+    def optimize(chain, floor):
+        calls.append(chain)
+        if len(calls) > 100:
+            raise AssertionError("the search optimizes paths that can only tie")
+        return optimize_floored(chain, floor)
+    optimize_floored = routing._optimize_floored
+    monkeypatch.setattr(routing, "_optimize_floored", optimize)
+    extent = default_extent(4)
+    s, d = endpoints_for_separation(extent, 4)
+    for seed in (1, 2, 3):
+        net = generate_network(TopologySpec("triangular", extent, 8, 32, 0.91, seed=seed), NOISY)
+        best = best_path_exhaustive(net, s, d, 10)
+        assert best.evaluation.d_total == 0.0 and len(best.path) == 5
 
 
 def test_exhaustive_does_not_optimize_a_seed_of_exactly_cutoff_hops_again(monkeypatch):
