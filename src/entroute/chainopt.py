@@ -25,7 +25,8 @@ from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, distillable,
 
 MAX_CHAIN_HOPS = 10
 MAX_SEGMENT_HOPS = 3
-# _SPLITS[L]: the (rest, last segment hops) pairs that cover L hops.
+# _SPLITS[L]: the (rest, segment hops) pairs that cover L hops; the optimizer
+# reads the segment as the last, enumerate_segmentations as the first.
 _SPLITS = tuple(tuple((length - hops, hops)
                       for hops in range(1, min(MAX_SEGMENT_HOPS, length) + 1))
                 for length in range(MAX_CHAIN_HOPS + 1))
@@ -109,7 +110,8 @@ def no_purification_plan(n_hops: int) -> PurificationPlan:
 
 @lru_cache(maxsize=None, typed=True)
 def enumerate_segmentations(n_hops: int) -> tuple[tuple[int, ...], ...]:
-    """All ordered compositions of ``n_hops`` into parts of size 1..3.
+    """All ordered compositions of ``n_hops`` into parts of size 1..3, in
+    lexicographic order, read off ``_SPLITS``.
 
     Counts follow the tribonacci recurrence T(n) = T(n-1) + T(n-2) + T(n-3).
     The cache is typed, so True and 2.0 miss the entries of 1 and 2 and are
@@ -117,19 +119,8 @@ def enumerate_segmentations(n_hops: int) -> tuple[tuple[int, ...], ...]:
     """
     if not (type(n_hops) is int and 1 <= n_hops <= MAX_CHAIN_HOPS):
         raise ValueError(f"n_hops must be an integer in 1..{MAX_CHAIN_HOPS}, got {n_hops!r}")
-    result = []
-
-    def extend(prefix, remaining):
-        if remaining == 0:
-            result.append(tuple(prefix))
-            return
-        for part in range(1, min(MAX_SEGMENT_HOPS, remaining) + 1):
-            prefix.append(part)
-            extend(prefix, remaining - part)
-            prefix.pop()
-
-    extend([], n_hops)
-    return tuple(result)
+    return tuple((hops,) + tail for rest, hops in _SPLITS[n_hops]
+                 for tail in (enumerate_segmentations(rest) if rest else ((),)))
 
 
 @lru_cache(maxsize=4096, typed=True)

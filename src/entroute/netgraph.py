@@ -289,7 +289,10 @@ def network_from_json(text: str) -> Network:
     """Load a ``network_to_json`` document; a malformed one raises ValueError
     naming the field. Keys the format does not use, as the ``t_decoh`` of
     older files, are ignored."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:  # nesting too deep to parse
+        raise ValueError(f"network: not valid JSON ({exc})") from exc
     if _field(doc, "format", "network") != NETWORK_FORMAT:
         raise ValueError(f"unsupported network format {doc['format']!r}")
     channels = [Channel(*(_field(ch, name, "channel", kind) for name, kind in _CHANNEL_FIELDS))

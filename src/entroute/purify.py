@@ -56,11 +56,19 @@ class PurificationCircuit:
 
 
 def _count_leaves(tree) -> int:
-    if tree is LEAF:
-        return 1
-    if not (type(tree) is tuple and len(tree) == 2):
-        raise ValueError(f"circuit tree must be {LEAF!r} or a (kept, consumed) pair, got {tree!r}")
-    return _count_leaves(tree[0]) + _count_leaves(tree[1])
+    """How many leaves ``tree`` has, counted up to one past ``MAX_CIRCUIT_K``
+    on an explicit stack, so no depth meets the recursion limit."""
+    count = 0
+    stack = [tree]
+    while stack and count <= MAX_CIRCUIT_K:
+        tree = stack.pop()
+        if tree is LEAF:
+            count += 1
+        elif type(tree) is tuple and len(tree) == 2:
+            stack += tree[1], tree[0]
+        else:
+            raise ValueError(f"circuit tree must be {LEAF!r} or a (kept, consumed) pair, got {tree!r}")
+    return count
 
 
 def _balanced_tree(width: int):

@@ -65,17 +65,14 @@ def _check_endpoints(net: Network, s, d) -> None:
         raise ValueError("source and destination must differ")
 
 
-def _edge_key(u, v):
-    return (u, v) if u < v else (v, u)
-
-
 @lru_cache(maxsize=16, typed=True)
 def _bfs_hops(net: Network, target) -> dict:
     """Hop distance from every reachable node to ``target``; the caller must
     not change it.
 
     Cached per network object and target, so an exhaustive route-compare
-    cell's fewest-hop route and its path enumeration share one BFS.
+    cell's fewest-hop route, which reads it for its cutoff and again in its
+    DFS, and its path enumeration share one BFS.
     """
     peers = net.peers
     dist = {target: 0}
@@ -96,36 +93,38 @@ def _iter_simple_paths(net: Network, s, d, cutoff: int, prune=None):
 
     ``prune(hops_used, hops_to_go, min_egr)`` may cut subtrees that provably
     cannot contain a useful path; distance-based pruning is always applied.
-    The walk reads each node's (peer, EGR) pairs from ``net.peers`` and each
-    peer's hop distance to d from one BFS; every peer of a node d reaches
-    is in that BFS too.
+    The walk is an iterative DFS: its stack holds, per node of the path, an
+    iterator over that node's (peer, EGR) row of ``net.peers`` and the
+    least EGR on the path up to it. The path list is its own visited set,
+    short at the cutoffs (at most 10) that experiments search. Each peer's hop
+    distance to d comes from one BFS; every peer of a node d reaches is in
+    that BFS too.
     """
     dist = _bfs_hops(net, d)
     if dist.get(s, cutoff + 1) > cutoff:
         return
     peers = net.peers
     path = [s]
-    visited = {s}
-
-    def walk(u, hops_used, min_egr):
-        hops_used += 1
-        for v, egr in peers[u]:
+    stack = [(iter(peers[s]), float("inf"))]
+    while stack:
+        row, min_egr = stack[-1]
+        hops_used = len(path)
+        for v, egr in row:
             to_go = dist[v]
-            if v in visited or hops_used + to_go > cutoff:
+            if hops_used + to_go > cutoff or v in path:
                 continue
             new_min = egr if egr < min_egr else min_egr
             if prune is not None and prune(hops_used, to_go, new_min):
                 continue
-            path.append(v)
-            visited.add(v)
             if v == d:
-                yield list(path)
+                yield path + [v]
             else:
-                yield from walk(v, hops_used, new_min)
+                path.append(v)
+                stack.append((iter(peers[v]), new_min))
+                break
+        else:
             path.pop()
-            visited.remove(v)
-
-    yield from walk(s, 0, float("inf"))
+            stack.pop()
 
 
 def enumerate_paths(net: Network, s, d, cutoff: int = 10) -> list[list[int]]:
@@ -174,38 +173,22 @@ def _dijkstra(peers, s, d, edge_cost, weights: dict) -> list[int] | None:
     return None
 
 
-def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP,
-                           excluded: frozenset = frozenset()) -> list[int] | None:
+def shortest_weighted_path(net: Network, s, d, cost: LinkCost = LinkCost.HOP) -> list[int] | None:
     """Minimum-total-cost path under the chosen link cost.
 
     Ties break toward fewer hops, then the lexicographically smallest node
-    sequence. Returns None when the destination is unreachable. The
-    fewest-hop path with nothing excluded is walked down the hop distances of
-    one BFS from d. Otherwise Dijkstra reads the (peer, EGR) rows of
-    ``net.peers``; a non-empty ``excluded``, a set of (u, v) channel keys
-    with u < v, is filtered out of those rows once, before the search.
+    sequence. Returns None when the destination is unreachable. Under the
+    hop cost that is the first path of the simple-path DFS cut off at the
+    source's BFS distance to d: every step it takes goes one hop closer, so
+    it never backtracks. Every other cost runs Dijkstra on ``net.peers``.
     """
     _check_endpoints(net, s, d)
     cost = LinkCost(cost)
-    peers = net.peers
-    if cost is LinkCost.HOP and not excluded:
-        # Under unit costs that tie-break picks the lexicographically
-        # smallest fewest-hop path: from s, step to the smallest peer one hop
-        # closer to d. Every peer of a node d reaches is in the BFS.
-        dist = _bfs_hops(net, d)
-        if s not in dist:
-            return None
-        path = [s]
-        u = s
-        while u != d:
-            closer = dist[u] - 1
-            u = next(v for v, _ in peers[u] if dist[v] == closer)
-            path.append(u)
-        return path
-    if excluded:
-        peers = {u: [(v, egr) for v, egr in row if _edge_key(u, v) not in excluded]
-                 for u, row in peers.items()}
-    return _dijkstra(peers, s, d, cost.edge_cost, {})
+    if cost is LinkCost.HOP:
+        # An unreachable s gets cutoff 0, which no path meets.
+        cutoff = _bfs_hops(net, d).get(s, 0)
+        return next(_iter_simple_paths(net, s, d, cutoff), None)
+    return _dijkstra(net.peers, s, d, cost.edge_cost, {})
 
 
 def weighted_routes(net: Network, s, d, costs=tuple(LinkCost)) -> dict:
@@ -291,13 +274,16 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
             seeded.add(path)
             consider(path, result)
 
+    def loses(bound, hops):
+        # Below the best D, or tying it with more hops than the best path.
+        return bound < best_d or (bound == best_d and hops > best_hops)
+
     def prune(hops_used, hops_to_go, min_egr):
         if min_egr < best_d:
             return True
         if best is None:
             return False
-        # Every path through the prefix has at least ``hops`` hops: at a bound
-        # equal to the best D, more hops than the best path's only lose a tie.
+        # Every path through the prefix has at least ``hops`` hops.
         hops = hops_used + hops_to_go
         held = bounds.get(min_egr)
         if held is None:
@@ -311,17 +297,13 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
                         larger = egr
                 elif smaller is None or egr > smaller:
                     smaller = egr
-            if larger is not None:
-                bound = bounds[larger][hops]
-                if bound < best_d or (bound == best_d and hops > best_hops):
-                    return True
-            if smaller is not None:
-                bound = bounds[smaller][hops]
-                if bound > best_d or (bound == best_d and hops <= best_hops):
-                    return False
+            if larger is not None and loses(bounds[larger][hops], hops):
+                return True
+            if smaller is not None and not loses(bounds[smaller][hops], hops):
+                return False
             bound = d_bound_by_hops(f_raw, net.noise, min_egr, top, cutoff)
             held = bounds[min_egr] = [max(bound[length:]) for length in range(cutoff + 1)]
-        return held[hops] < best_d or (held[hops] == best_d and hops > best_hops)
+        return loses(held[hops], hops)
 
     for path in _iter_simple_paths(net, s, d, cutoff, prune=prune):
         path = tuple(path)
@@ -346,9 +328,8 @@ def multipath_greedy(net: Network, s, d, max_paths: int,
         raise ValueError(f"max_paths must be an integer >= 1, got {max_paths!r}")
     edge_cost = LinkCost(cost).edge_cost
     # The working graph: each routed path's channels leave both endpoints'
-    # rows, which keep their order, so every search sees what an ``excluded``
-    # set of the routed channels would leave. The searches share one memo
-    # of edge costs.
+    # rows, which keep their order, so each search sees the network less the
+    # channels routed so far. The searches share one memo of edge costs.
     peers = dict(net.peers)
     weights: dict = {}
     routed: list[RoutedPath] = []

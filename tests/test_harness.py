@@ -681,14 +681,15 @@ def test_importing_the_harness_leaves_hashlib_unloaded():
 
 
 def test_an_exhaustive_route_compare_cell_runs_one_bfs():
-    # The fewest-hop seed route and the path enumeration share one BFS.
+    # The fewest-hop seed route and the path enumeration share one BFS; the
+    # hop route reads it for its cutoff and again in its DFS.
     config = ExperimentConfig.from_dict({
         "id": "x", "kind": "route-compare", "seeds": [3], "gate_fidelities": [1.0],
         "channel_fidelities": [0.99], "hop_separation": 3, "cutoff": 7})
     routing._bfs_hops.cache_clear()
     run_experiment(config)
     info = routing._bfs_hops.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_cli_seed_override(tmp_path):

@@ -243,6 +243,11 @@ def test_import_rejects_malformed_documents_naming_the_field(text, field):
         network_from_json(text)
 
 
+def test_import_rejects_a_document_nested_too_deep_to_parse():
+    with pytest.raises(ValueError, match="not valid JSON"):
+        network_from_json("[" * 100000)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         TopologySpec("octagonal", (5, 9), 8, 32, 0.99, seed=1)

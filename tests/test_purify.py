@@ -355,3 +355,13 @@ def test_circuit_tree_must_be_a_leaf_or_a_pair():
     for bad in (5, (LEAF,), "ab", (LEAF, LEAF, LEAF), ((LEAF,), LEAF)):
         with pytest.raises(ValueError, match="tree"):
             PurificationCircuit(k=2, tree=bad)
+
+
+def test_a_tree_too_deep_to_recurse_has_the_wrong_leaf_count():
+    # 5,000 levels on either side, far past the interpreter's recursion limit.
+    for grow in (lambda tree: (tree, LEAF), lambda tree: (LEAF, tree)):
+        tree = LEAF
+        for _ in range(5000):
+            tree = grow(tree)
+        with pytest.raises(ValueError, match="exactly k leaves"):
+            PurificationCircuit(k=8, tree=tree)

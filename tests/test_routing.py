@@ -72,6 +72,14 @@ def test_unreachable_within_cutoff_is_empty():
     assert enumerate_paths(net, 0, 3, cutoff=2) == []
 
 
+def test_long_line_paths_need_no_recursion():
+    # 1,200 hops is far past the interpreter's recursion limit.
+    net = _net([(i, i + 1, 10) for i in range(1200)])
+    line = list(range(1201))
+    assert enumerate_paths(net, 0, 1200, cutoff=1200) == [line]
+    assert shortest_weighted_path(net, 0, 1200) == line
+
+
 def test_enumerate_validates_endpoints():
     net = _net([(0, 1, 10)])
     with pytest.raises(ValueError):
@@ -114,6 +122,13 @@ def test_every_search_answers_an_unreachable_destination_with_its_empty_value():
         assert multipath_greedy(net, s, d, 4) == ([], [])
 
 
+def _search_without(net, excluded, s, d, cost):
+    # shortest_weighted_path on the network rebuilt without the excluded
+    # channels; None when s or d loses every channel and so leaves it.
+    reduced = Network([ch for ch in net.channels() if ch.key not in excluded], noise=net.noise)
+    return shortest_weighted_path(reduced, s, d, cost) if s in reduced and d in reduced else None
+
+
 def _brute_force_best(net, paths, cost, excluded=frozenset()):
     # The least (total, hops, path) key over the paths that use no excluded
     # channel; None when every path does.
@@ -134,9 +149,10 @@ def _brute_force_best(net, paths, cost, excluded=frozenset()):
 def test_dijkstra_optimal_on_random_graphs():
     # Random endpoints on random graphs, some with gaps in their node ids and
     # some in two components, whose first draw joins the two. The last draw
-    # per graph excludes some channels. Fewest hops with nothing excluded
-    # (the BFS branch) and every other search (Dijkstra) must both meet the
-    # brute-force key, and return None exactly when no path is left.
+    # per graph searches the graph rebuilt without some of its channels.
+    # Fewest hops (the DFS cut off at the BFS distance) and every other search
+    # (Dijkstra) must both meet the brute-force key, and return None exactly
+    # when no path is left.
     rng = random.Random(19)
     for trial in range(60):
         n = rng.randint(4, 12)
@@ -163,7 +179,7 @@ def test_dijkstra_optimal_on_random_graphs():
             if index == 0 and split < n:
                 assert paths == []
             for cost in LinkCost:
-                path = shortest_weighted_path(net, s, d, cost, excluded)
+                path = _search_without(net, excluded, s, d, cost)
                 expected = _brute_force_best(net, paths, cost, excluded)
                 if expected is None:
                     assert path is None
@@ -532,10 +548,10 @@ def test_multipath_cumulative_nondecreasing():
 def test_multipath_routes_as_the_loop_of_excluded_searches(kind):
     # The greedy search deletes each routed path's channels from its own copy
     # of the peer rows and shares one edge-cost memo. It must route exactly
-    # as searching the whole network with the routed channels excluded does,
-    # ties included: equal EGRs ([5, 5]) and few distinct ones ([1, 3]) tie
-    # many paths, and the reference loop's first hop-cost search is the BFS
-    # walk, not Dijkstra.
+    # as searching the network rebuilt without the routed channels does, ties
+    # included: equal EGRs ([5, 5]) and few distinct ones ([1, 3]) tie many
+    # paths, and the reference loop's hop-cost searches are the DFS hop
+    # route, not Dijkstra.
     extent = default_extent(3)
     s, d = endpoints_for_separation(extent, 3)
     for egr_range in ((5, 5), (1, 3), (8, 32), (16, 128)):
@@ -545,7 +561,7 @@ def test_multipath_routes_as_the_loop_of_excluded_searches(kind):
                 used = set()
                 expected = []
                 for _ in range(8):
-                    path = shortest_weighted_path(net, s, d, cost, frozenset(used))
+                    path = _search_without(net, used, s, d, cost)
                     if path is None or len(path) - 1 > MAX_CHAIN_HOPS:
                         break
                     expected.append(RoutedPath(tuple(path),
