@@ -18,7 +18,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .netgraph import Network, check_egr, check_egr_range
-from .purify import (MAX_CIRCUIT_K, _evaluate_cached, _rate, circuit_for, evaluate_circuit,
+from .purify import (MAX_CIRCUIT_K, _evaluate_cached, circuit_for, evaluate_circuit,
                      post_purification_rate)
 from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, distillable,
                      distillable_per_pair, swap_fidelity)
@@ -128,11 +128,10 @@ def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
                    max_k: int) -> tuple[tuple[float, float, int, float], ...]:
     """Per-k rows for one segment, in the optimizer's form (W, f_out, -k, rate).
 
-    Row k - 1 is ``purify._evaluate_cached``'s row for width k, its p_succ
-    rated at ``min_egr`` as ``purify._rate`` does, inline: no circuit is
-    looked up, evaluated or rated by a call per width. Width 1's p_succ is
-    exactly 1.0, so its rate is the raw rate, float(min_egr). The cache is
-    typed, so a bool misses the entry of 1.0 and is rejected.
+    Row k - 1 is ``purify._evaluate_cached``'s row for width k, rated
+    inline at ``min_egr`` as p_succ * float(min_egr // k); width 1's p_succ
+    is exactly 1.0, so its rate is the raw rate, float(min_egr). The cache
+    is typed, so a bool misses the entry of 1.0 and is rejected.
     """
     if not 1 <= max_k <= MAX_CIRCUIT_K:
         raise ValueError(f"circuit width k must be in 1..{MAX_CIRCUIT_K}, got {max_k}")
@@ -159,7 +158,7 @@ def _uniform_segments(f_raw: float, noise: NoiseParams, max_egr: int
                      for hops in range(1, MAX_SEGMENT_HOPS + 1)
                      for k, (_, p_succ, w) in enumerate(_evaluate_cached(
                          swap_fidelity([f_raw] * hops, noise), noise.p2, noise.eta)[0], 1))
-    return circuits, tuple((_rate(max_egr, k, p_succ), False, hops, w_swap)
+    return circuits, tuple((p_succ * float(max_egr // k), False, hops, w_swap)
                            for hops, w_swap, k, p_succ in circuits)
 
 
@@ -228,21 +227,19 @@ def _cover(admitted: list[dict], states: list[dict], stale: int, swap: float) ->
         states[end] = layer
 
 
-def _score(covers: dict, scored: dict, bar: float, best: tuple | None):
-    """The best of ``best`` and the full ``covers`` not in ``scored`` that reach ``bar``.
+def _score(covers: dict, best: tuple | None):
+    """The best of ``best`` and the full ``covers``: the argmax of the key.
 
     A best is (key, cover), its key (D, fidelity, -segments, -k per segment,
-    -length per segment). Returns it and the bar it raises.
+    -length per segment).
     """
     for segs, cover in covers.items():
         fid, neg_ks, neg_lens, rate = cover
-        if rate < bar or scored.get(segs) == cover:
-            continue
         d_total = distillable(rate, fid)
         key = (d_total, fid, -segs, neg_ks, neg_lens)
-        if d_total >= bar and (best is None or key > best[0]):
-            best, bar = (key, cover), d_total
-    return best, bar
+        if best is None or key > best[0]:
+            best = (key, cover)
+    return best
 
 
 def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, PlanEvaluation]:
@@ -262,25 +259,26 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
 
     Otherwise a plan's D is at most its rate, the slowest segment's, times
     d(F_c). So every segment rate r is tried as the bottleneck, fastest
-    first: each slice takes its highest-W circuit with rate >= r and the DP
-    runs again. The sweep stops once r * d(F_c) falls below the best D found.
-    Ties break toward higher fidelity, then fewer segments, then smaller
-    k-vectors, then shorter leading segments.
+    first: each slice takes its highest-W circuit with rate >= r, the DP
+    runs again, and one argmax of the key (D, F, -segments, -k per segment,
+    -length per segment) scores its full covers: ties break toward higher
+    fidelity, then fewer segments, smaller k-vectors, shorter leading
+    segments. The sweep stops once r * d(F_c) falls below the best D found.
 
-    No pass runs above the slowest hop's raw rate. While no pass may distil,
-    each one first takes the best W product of its covers by a scalar DP,
-    G[end] = max over slices of G[end - hops] * W * (swap if end > hops
-    else 1), rebuilt from the earliest slice that changed; a pass whose
-    1/4 + 3/4 G[n] gives d = 0 runs no ``_cover``. Its circuits stay
+    While no pass may distil, each one first takes the best W product of
+    its covers by a scalar DP, G[end] = max over slices of G[end - hops] *
+    W * (swap if end > hops else 1), rebuilt from the earliest slice that
+    changed; a pass whose 1/4 + 3/4 G[n] gives d = 0, as every pass above
+    the slowest hop's raw rate does, runs no ``_cover``. Its circuits stay
     admitted and ``stale`` keeps the earliest changed slice, so the next
     pass rebuilds the covers that every pass would have. The skip is exact
     for three reasons. A slice's best W never falls as the threshold does,
     so the passes that cannot distil come first, and once one pass may
     distil the check stops. A pass is skipped only when its G[n], raised by
     the bound slack, gives d = 0, so rounding cannot hide a pass that
-    distils. And the skip is taken only when d(F_c) > 0: the
-    answer then has D > 0, or is a D = 0 cover at F_c, above the fidelity
-    of every skipped cover. At F_c = 1/4 every pass runs.
+    distils. And the skip is taken only when d(F_c) > 0: the answer then
+    has D > 0, or is a D = 0 cover at F_c, above the fidelity of every
+    skipped cover. At F_c = 1/4 every pass runs.
 
     One exception: on a chain with a hop at a fixed point of the purify step
     (F = 1/4, or F = 1/2 with perfect gates), D and the delivered fidelity are
@@ -297,7 +295,6 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
             f"chain has {n} hops; optimizer handles at most {MAX_CHAIN_HOPS}")
     noise = chain.noise
     p2, eta, swap = noise.p2, noise.eta, noise.swap_factor
-    bar = -math.inf
     # Every slice as (end, length, raw fidelity, minimum EGR), from which the
     # sweep reads its circuit table, and its highest-W circuit (w, f_out, -k,
     # rate) by the hop the slice ends after and its length. A slice's raw
@@ -328,15 +325,13 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
     f_ceiling = max(fid for fid, *_ in states[n].values())
     d_ceiling = distillable_per_pair(f_ceiling)
     if d_ceiling == 0.0 and f_ceiling > F_MIN:
-        best, _ = _score(states[n], {}, bar, None)
+        best = _score(states[n], None)
     else:
         best = None
         reach = d_ceiling * _BOUND_SLACK
         rows = [(circuit[3], end, hops, circuit) for end, hops, f_raw, min_egr in slices
                 for circuit in _segment_table(f_raw, min_egr, p2, eta, max_k)]
         rows.sort(key=itemgetter(0), reverse=True)
-        # No plan is faster than the slowest hop's raw rate.
-        top = min(chain.egrs)
         admitted: list[dict] = [{} for _ in range(n + 1)]
         states = [{0: (1.0, (), (), math.inf)}] + [{} for _ in range(n)]
         stale = 0  # covers ending after this hop are rebuilt on the next pass
@@ -346,7 +341,7 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
         g = [1.0] + [0.0] * n
         dead = 0 if d_ceiling > 0.0 else None
         for threshold, group in groupby(rows, key=itemgetter(0)):
-            if threshold * reach < bar:
+            if best is not None and threshold * reach < best[0][0]:
                 break
             for _, end, hops, circuit in group:
                 held = admitted[end].get(hops)
@@ -355,7 +350,7 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
                     stale = min(stale, end - 1)
                     if dead is not None and end - 1 < dead:
                         dead = end - 1
-            if threshold > top or stale == n:
+            if stale == n:
                 continue
             if dead is not None:
                 for end in range(dead + 1, n + 1):
@@ -369,10 +364,9 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
                     dead = n
                     continue
                 dead = None
-            scored = states[n]  # full covers scored on the last pass
             _cover(admitted, states, stale, swap)
             stale = n
-            best, bar = _score(states[n], scored, bar, best)
+            best = _score(states[n], best)
     (d_total, fid, *_), (_, neg_ks, neg_lens, rate) = best
     segments = tuple((-h, -k) for h, k in zip(neg_lens, neg_ks))
     return (PurificationPlan(segments=segments),
@@ -405,7 +399,7 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     # (rate, holds the minimum hop, hops, W * swap) for every segment circuit;
     # only the rate depends on EGR.
     circuits, free_rows = _uniform_segments(f_raw, noise, max_egr)
-    rows = [(_rate(min_egr, k, p_succ), True, hops, w_swap)
+    rows = [(p_succ * float(min_egr // k), True, hops, w_swap)
             for hops, w_swap, k, p_succ in circuits]
     rows += free_rows
     rows.sort(key=itemgetter(0), reverse=True)

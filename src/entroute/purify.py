@@ -227,13 +227,7 @@ def post_purification_rate(egr: int, circuit: PurificationCircuit,
     """
     if not (type(egr) is int and 0 <= egr <= MAX_EGR):
         raise ValueError(f"egr must be an integer in 0..2**64, got {egr!r}")
-    return _rate(egr, circuit.k, outcome.p_succ)
-
-
-def _rate(egr: int, k: int, p_succ: float) -> float:
-    """``post_purification_rate`` of the width-``k`` circuit, from its p_succ
-    alone; its callers have checked ``egr``."""
-    return float(egr) if k == 1 else p_succ * float(egr // k)
+    return float(egr) if circuit.k == 1 else outcome.p_succ * float(egr // circuit.k)
 
 
 def oracle_simulate_step(f1: float, f2: float,

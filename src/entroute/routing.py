@@ -146,9 +146,9 @@ def _dijkstra(peers, s, d, edge_cost, weights: dict) -> list[int] | None:
     one cost may share it.
     """
     heap = [(0.0, 0, (s,))]
-    # The least total pushed per node. A label above it can never be the
-    # node's first pop, so it is not pushed; one that ties it still is, and
-    # the heap breaks the tie on hops and path.
+    # The least total pushed per node. A label above it, as one to a finished
+    # node is unless rounding ties them, is never a first pop and is not
+    # pushed; a tie still is, and the heap, or ``done`` at its pop, settles it.
     pushed = {s: 0.0}
     done = set()
     while heap:
@@ -160,8 +160,6 @@ def _dijkstra(peers, s, d, edge_cost, weights: dict) -> list[int] | None:
         if u == d:
             return list(path)
         for v, egr in peers[u]:
-            if v in done:
-                continue
             edge = weights.get(egr)
             if edge is None:
                 edge = weights[egr] = edge_cost(egr)

@@ -154,6 +154,8 @@ def test_circuit_noise_ordering():
 def test_post_purification_rate_examples():
     assert post_purification_rate(20, circuit_for(8), CircuitOutcome(0.9, 0.6)) == 1.2
     assert post_purification_rate(20, circuit_for(1), CircuitOutcome(0.9, 1.0)) == 20.0
+    # Width 1 is no purification: the raw rate passes through, whatever its p_succ.
+    assert post_purification_rate(20, circuit_for(1), CircuitOutcome(0.8, 0.5)) == 20.0
     assert post_purification_rate(7, circuit_for(8), CircuitOutcome(0.9, 0.9)) == 0.0
 
 

@@ -278,10 +278,12 @@ def _decision_digest_networks(mixed):
 def _decision_digest(monkeypatch, nets):
     """sha256 over the repr of every (path, floor) the search hands to
     _optimize_floored, in order, and of every answer: a changed pruning
-    decision, optimizer call, floor or tie-break changes the digest."""
+    decision, optimizer call, floor or tie-break changes the digest. Also
+    returns the answers, in order."""
     s, d = endpoints_for_separation(default_extent(3), 3)
     digest = hashlib.sha256()
     last_path = []
+    answers = []
 
     def chain_of(net, path):
         last_path[:] = [tuple(path)]
@@ -294,31 +296,41 @@ def _decision_digest(monkeypatch, nets):
     monkeypatch.setattr(routing, "chain_from_path", chain_of)
     monkeypatch.setattr(routing, "_optimize_floored", optimize)
     for net in nets:
-        digest.update(repr(best_path_exhaustive(net, s, d, 7)).encode())
-    return digest.hexdigest()
+        answers.append(best_path_exhaustive(net, s, d, 7))
+        digest.update(repr(answers[-1]).encode())
+    return digest.hexdigest(), answers
+
+
+@pytest.fixture(scope="module")
+def digest_runs():
+    """One search of the uniform and one of the mixed digest networks, by
+    ``mixed``: the decision digest and the answers, which all three digest
+    tests read."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return {mixed: _decision_digest(monkeypatch, _decision_digest_networks(mixed))
+                for mixed in (False, True)}
 
 
 def test_exhaustive_search_decisions_on_uniform_networks_match_their_pinned_digest(
-        monkeypatch):
-    assert _decision_digest(monkeypatch, _decision_digest_networks(mixed=False)) == (
+        digest_runs):
+    assert digest_runs[False][0] == (
         "df18ad52a6cf52077777b4963e2119268eca3b657bba8a43fe2d3567f37d2b53")
 
 
 def test_exhaustive_search_decisions_on_mixed_networks_match_their_pinned_digest(
-        monkeypatch):
+        digest_runs):
     # Pins how the search prunes on networks of mixed raw fidelity.
-    assert _decision_digest(monkeypatch, _decision_digest_networks(mixed=True)) == (
+    assert digest_runs[True][0] == (
         "9a85fd2e805212bf92b60ac44161016bb69da04d86c8a1f00e882fee10c60fa1")
 
 
-def test_exhaustive_search_answers_match_their_pinned_digest():
+def test_exhaustive_search_answers_match_their_pinned_digest(digest_runs):
     # sha256 over the repr of every answer on all the digest networks, uniform
     # then mixed: a pruning rule may change the decisions, never this.
-    s, d = endpoints_for_separation(default_extent(3), 3)
     digest = hashlib.sha256()
     for mixed in (False, True):
-        for net in _decision_digest_networks(mixed):
-            digest.update(repr(best_path_exhaustive(net, s, d, 7)).encode())
+        for answer in digest_runs[mixed][1]:
+            digest.update(repr(answer).encode())
     assert digest.hexdigest() == (
         "51706e123ce7453551f451391f774e07ca26110da5094bda9243c9d3eca626f6")
 
