@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
-from .netgraph import Network, check_egr, check_egr_range
+from .netgraph import Network, check_egr, check_egr_range, check_int
 from .purify import (MAX_CIRCUIT_K, _evaluate_cached, circuit_for, evaluate_circuit,
                      post_purification_rate)
 from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, distillable,
@@ -78,12 +78,8 @@ class PurificationPlan:
         if not self.segments:
             raise ValueError("plan must have at least one segment")
         for hops, k in self.segments:
-            if not (type(hops) is int and 1 <= hops <= MAX_SEGMENT_HOPS):
-                raise ValueError(
-                    f"segment length must be an integer in 1..{MAX_SEGMENT_HOPS}, got {hops!r}")
-            if not (type(k) is int and 1 <= k <= MAX_CIRCUIT_K):
-                raise ValueError(
-                    f"segment circuit width must be an integer in 1..{MAX_CIRCUIT_K}, got {k!r}")
+            check_int(hops, "segment length", 1, MAX_SEGMENT_HOPS)
+            check_int(k, "segment circuit width", 1, MAX_CIRCUIT_K)
 
     @property
     def n_hops(self) -> int:
@@ -103,9 +99,7 @@ class PlanEvaluation:
 
 def no_purification_plan(n_hops: int) -> PurificationPlan:
     """Plain swapping: single-hop segments, identity circuits."""
-    if type(n_hops) is not int:
-        raise ValueError(f"n_hops must be an integer, got {n_hops!r}")
-    return PurificationPlan(segments=tuple((1, 1) for _ in range(n_hops)))
+    return PurificationPlan(segments=((1, 1),) * check_int(n_hops, "n_hops", lo=1))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -117,8 +111,7 @@ def enumerate_segmentations(n_hops: int) -> tuple[tuple[int, ...], ...]:
     The cache is typed, so True and 2.0 miss the entries of 1 and 2 and are
     rejected.
     """
-    if not (type(n_hops) is int and 1 <= n_hops <= MAX_CHAIN_HOPS):
-        raise ValueError(f"n_hops must be an integer in 1..{MAX_CHAIN_HOPS}, got {n_hops!r}")
+    check_int(n_hops, "n_hops", 1, MAX_CHAIN_HOPS)
     return tuple((hops,) + tail for rest, hops in _SPLITS[n_hops]
                  for tail in (enumerate_segmentations(rest) if rest else ((),)))
 
@@ -133,11 +126,9 @@ def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
     is exactly 1.0, so its rate is the raw rate, float(min_egr). The cache
     is typed, so a bool misses the entry of 1.0 and is rejected.
     """
-    if not 1 <= max_k <= MAX_CIRCUIT_K:
-        raise ValueError(f"circuit width k must be in 1..{MAX_CIRCUIT_K}, got {max_k}")
+    check_int(max_k, "max_k", 1, MAX_CIRCUIT_K)
+    check_int(min_egr, "min_egr", lo=0)
     rows = _evaluate_cached(f_raw, p2, eta)[0]
-    if min_egr < 0:
-        raise ValueError(f"egr must be >= 0, got {min_egr}")
     return tuple([(w, f_out, -k, p_succ * float(min_egr // k)) for k, (f_out, p_succ, w)
                   in enumerate(rows[:max_k], 1)])
 
@@ -287,8 +278,7 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
     per-slice highest-W choice can take a larger k whose W is higher only by
     an ulp.
     """
-    if not (type(max_k) is int and 1 <= max_k <= MAX_CIRCUIT_K):
-        raise ValueError(f"max_k must be an integer in 1..{MAX_CIRCUIT_K}, got {max_k!r}")
+    check_int(max_k, "max_k", 1, MAX_CIRCUIT_K)
     n = chain.n_hops
     if n > MAX_CHAIN_HOPS:
         raise ValueError(
@@ -391,8 +381,7 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     scores r * d(F). The bound never falls as ``min_egr`` or ``max_egr`` rises.
     """
     check_egr_range(min_egr, max_egr, "min and max EGR")
-    if not (type(max_hops) is int and 1 <= max_hops <= MAX_CHAIN_HOPS):
-        raise ValueError(f"max_hops must be an integer in 1..{MAX_CHAIN_HOPS}, got {max_hops!r}")
+    check_int(max_hops, "max_hops", 1, MAX_CHAIN_HOPS)
     swap = noise.swap_factor
     # D <= r, so a threshold below every entry raises none.
     stop = 0.0

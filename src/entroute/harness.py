@@ -20,7 +20,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from . import __version__
 from .chainopt import MAX_CHAIN_HOPS, Chain, optimize_chain
 from .netgraph import (GENERATOR_NAME, LATTICE_KINDS, TopologySpec, check_egr, check_egr_range,
-                       default_extent, endpoints_for_separation, generate_network,
+                       check_int, default_extent, endpoints_for_separation, generate_network,
                        scaled_egr_range)
 from .routing import LinkCost, best_path_exhaustive, multipath_greedy, weighted_routes
 from .routing import shortest_weighted_path  # noqa: F401  (rebound by bench/layers.py)
@@ -70,10 +70,10 @@ class ExperimentConfig:
                     object.__setattr__(self, name, _tested(shape, test, value))
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from None
-        rows, cols = self.resolved_extent()
-        if cols <= self.hop_separation:
-            raise ConfigError(
-                f"extent: {rows}x{cols} cannot hold hop separation {self.hop_separation}")
+        try:
+            endpoints_for_separation(self.resolved_extent(), self.hop_separation)
+        except ValueError as exc:
+            raise ConfigError(f"extent: {exc}") from None
         if self.kind == "route-compare" and not (self.cost_variants or self.include_exhaustive):
             raise ConfigError(
                 "cost_variants: must be non-empty when include_exhaustive is false")
@@ -113,19 +113,17 @@ class ExperimentConfig:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_seeds(raw):
     """A ``{start, count}`` seed range as a tuple; any other value is left as it is."""
     if not isinstance(raw, dict):
         return raw
-    if raw.keys() != {"start", "count"} or not all(map(_is_int, raw.values())):
-        raise ConfigError(f"seeds: a range must be {{start, count}} of integers, got {raw!r}")
-    if not 1 <= raw["count"] <= MAX_SEED_COUNT:
-        raise ConfigError(f"seeds: count must be 1..{MAX_SEED_COUNT}, got {raw['count']}")
-    return tuple(range(raw["start"], raw["start"] + raw["count"]))
+    if raw.keys() != {"start", "count"}:
+        raise ConfigError(f"seeds: a range must be {{start, count}}, got {raw!r}")
+    try:
+        start = check_int(raw["start"], "start")
+        return tuple(range(start, start + check_int(raw["count"], "count", 1, MAX_SEED_COUNT)))
+    except ValueError as exc:
+        raise ConfigError(f"seeds: {exc}") from None
 
 
 def _test(holds, want: str):
@@ -137,10 +135,10 @@ def _test(holds, want: str):
     return test
 
 
-_NUMBER = _test(lambda v: _is_int(v) or isinstance(v, float), "a number")
-_POSITIVE = _test(lambda n: _is_int(n) and n >= 1, "an integer >= 1")
+_NUMBER = _test(lambda v: type(v) is int or isinstance(v, float), "a number")
+_POSITIVE = _test(lambda n: type(n) is int and n >= 1, "an integer >= 1")
 # A longer chain or path has no purification plan to score.
-_HOPS = _test(lambda n: _is_int(n) and 1 <= n <= MAX_CHAIN_HOPS,
+_HOPS = _test(lambda n: type(n) is int and 1 <= n <= MAX_CHAIN_HOPS,
               f"an integer in 1..{MAX_CHAIN_HOPS}")
 
 # Each field's rule: its shape and a test that raises ValueError on a bad
@@ -151,7 +149,7 @@ _HOPS = _test(lambda n: _is_int(n) and 1 <= n <= MAX_CHAIN_HOPS,
 _RULES = {
     "id": ("one", _test(lambda v: isinstance(v, str), "a string")),
     "kind": ("one", _test(lambda v: v in EXPERIMENT_KINDS, f"one of {EXPERIMENT_KINDS}")),
-    "seeds": ("list", _test(_is_int, "integers")),
+    "seeds": ("list", _test(lambda v: type(v) is int, "an integer")),
     # A gate fidelity sets both p2 and eta.
     "gate_fidelities": ("list", lambda g: NoiseParams(_NUMBER(g), g)),
     "channel_fidelities": ("list", lambda f: check_fidelity(_NUMBER(f))),

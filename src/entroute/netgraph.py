@@ -26,12 +26,22 @@ _MASK64 = (1 << 64) - 1
 MAX_EGR = 1 << 64
 
 
+def check_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` if it is an exact ``int`` (no bool, float or other subclass)
+    in lo..hi, else a ValueError naming ``what``. A bound of None is open;
+    ``hi`` is given only with ``lo``."""
+    if type(value) is int and (lo is None or lo <= value) and (hi is None or value <= hi):
+        return value
+    span = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+    raise ValueError(f"{what} must be an integer{span}, got {value!r}")
+
+
 def is_egr(egr) -> bool:
-    """Whether ``egr`` is a valid EGR: an integer, not a bool, in 1..MAX_EGR.
+    """Whether ``egr`` is a valid EGR: an exact ``int`` in 1..MAX_EGR.
 
     Every rate and D computed from such an EGR is a finite float.
     """
-    return not isinstance(egr, bool) and isinstance(egr, int) and 1 <= egr <= MAX_EGR
+    return type(egr) is int and 1 <= egr <= MAX_EGR
 
 
 def check_egr(egr, what: str) -> None:
@@ -95,16 +105,13 @@ class TopologySpec:
     def __post_init__(self):
         if self.kind not in LATTICE_KINDS:
             raise ValueError(f"unknown lattice kind {self.kind!r}")
-        rows, cols = self.extent
-        for n in (rows, cols):
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                raise ValueError(f"extent must be two positive integers, got {self.extent!r}")
+        rows, cols = [check_int(n, f"each entry of extent {self.extent!r}", lo=1)
+                      for n in self.extent]
         if rows * cols < 2:
             raise ValueError(f"extent {self.extent} has fewer than 2 nodes")
         check_egr_range(self.egr_min, self.egr_max)
         check_fidelity(self.raw_fidelity)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        check_int(self.seed, "seed")
 
 
 class Network:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .netgraph import MAX_EGR
+from .netgraph import MAX_EGR, check_int
 from .werner import F_MIN, PERFECT, NoiseParams, check_fidelity
 
 MAX_CIRCUIT_K = 8
@@ -50,7 +50,7 @@ class PurificationCircuit:
     tree: object
 
     def __post_init__(self):
-        _check_width(self.k)
+        check_int(self.k, "circuit width k", 1, MAX_CIRCUIT_K)
         if _count_leaves(self.tree) != self.k:
             raise ValueError("circuit tree must have exactly k leaves")
 
@@ -77,18 +77,13 @@ def _balanced_tree(width: int):
     return (_balanced_tree(width // 2), _balanced_tree(width - width // 2))
 
 
-def _check_width(k) -> None:
-    if not (type(k) is int and 1 <= k <= MAX_CIRCUIT_K):
-        raise ValueError(f"circuit width k must be an integer in 1..{MAX_CIRCUIT_K}, got {k!r}")
-
-
 @lru_cache(maxsize=None, typed=True)
 def circuit_for(k: int) -> PurificationCircuit:
     """The recurrence/pumping circuit consuming ``k`` raw pairs.
 
     The cache is typed, so True and 2.0 miss the entries of 1 and 2 and are
     rejected."""
-    _check_width(k)
+    check_int(k, "circuit width k", 1, MAX_CIRCUIT_K)
     base = 1
     while base * 2 <= k:
         base *= 2

@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 
 from .chainopt import (MAX_CHAIN_HOPS, PlanEvaluation, PurificationPlan,
                        chain_from_path, d_bound_by_hops, optimize_chain)
-from .netgraph import Network
+from .netgraph import Network, check_int
 from .werner import swap_fidelity  # noqa: F401  (rebound by bench/layers.py)
 
 
@@ -132,9 +132,7 @@ def enumerate_paths(net: Network, s, d, cutoff: int = 10) -> list[list[int]]:
     once, in deterministic lexicographic order. Disconnected endpoints give
     an empty list."""
     _check_endpoints(net, s, d)
-    if type(cutoff) is not int or cutoff < 1:
-        raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
-    return list(_iter_simple_paths(net, s, d, cutoff))
+    return list(_iter_simple_paths(net, s, d, check_int(cutoff, "cutoff", lo=1)))
 
 
 def _dijkstra(peers, s, d, edge_cost, weights: dict) -> list[int] | None:
@@ -239,8 +237,7 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
     when no path lies within the cutoff.
     """
     _check_endpoints(net, s, d)
-    if not (type(cutoff) is int and 1 <= cutoff <= MAX_CHAIN_HOPS):
-        raise ValueError(f"cutoff must be an integer in 1..{MAX_CHAIN_HOPS}, got {cutoff!r}")
+    check_int(cutoff, "cutoff", 1, MAX_CHAIN_HOPS)
     if seeds is None:
         seeds = weighted_routes(net, s, d)
     links = net.links.values()
@@ -322,8 +319,7 @@ def multipath_greedy(net: Network, s, d, max_paths: int,
     entanglement after each path.
     """
     _check_endpoints(net, s, d)
-    if type(max_paths) is not int or max_paths < 1:
-        raise ValueError(f"max_paths must be an integer >= 1, got {max_paths!r}")
+    check_int(max_paths, "max_paths", lo=1)
     edge_cost = LinkCost(cost).edge_cost
     # The working graph: each routed path's channels leave both endpoints'
     # rows, which keep their order, so each search sees the network less the

@@ -1,18 +1,24 @@
 import hashlib
 import itertools
 import json
+import re
 from collections import deque
+from enum import IntEnum
 from statistics import mean
 
 import pytest
 
-from entroute import netgraph
-from entroute.chainopt import MAX_CHAIN_HOPS, d_bound_by_hops
+from entroute import chainopt, harness, netgraph
+from entroute.chainopt import (MAX_CHAIN_HOPS, Chain, PurificationPlan, d_bound_by_hops,
+                               enumerate_segmentations, no_purification_plan, optimize_chain)
+from entroute.harness import ExperimentConfig
 from entroute.netgraph import (LATTICE_KINDS, Channel, Network, TopologySpec, default_extent,
-                               endpoints_for_separation, generate_network,
+                               endpoints_for_separation, generate_network, load_network,
                                network_from_json, network_to_json, repeater_egr,
-                               scaled_egr_range)
-from entroute.werner import NoiseParams
+                               save_network, scaled_egr_range)
+from entroute.purify import LEAF, PurificationCircuit, circuit_for
+from entroute.routing import best_path_exhaustive, enumerate_paths, multipath_greedy
+from entroute.werner import PERFECT, NoiseParams
 
 
 def _bfs_distance(net, a, b):
@@ -334,3 +340,97 @@ def test_spec_accepts_the_ends_of_its_ranges():
 def test_endpoints_at_the_smallest_separation_and_extent():
     assert endpoints_for_separation((3, 2), 1) == (2, 3)
     assert endpoints_for_separation((5, 5), 4) == (10, 14)
+
+
+@pytest.mark.parametrize("seed", [7, None], ids=("seed", "no-seed"))
+def test_save_and_load_round_trip_to_the_same_bytes(tmp_path, seed):
+    net = generate_network(TopologySpec("hexagonal", (3, 4), 8, 32, 0.97, seed=7),
+                           NoiseParams(0.99, 0.98))
+    net = Network(net.channels(), noise=net.noise, seed=seed)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_network(net, first)
+    loaded = load_network(first)
+    save_network(loaded, second)
+    assert first.read_text(encoding="utf-8") == network_to_json(net)
+    assert second.read_bytes() == first.read_bytes()
+    assert (loaded.links, loaded.noise, loaded.seed) == (net.links, net.noise, seed)
+
+
+_SMALL = generate_network(TopologySpec("square", (2, 3), 8, 32, 0.99, seed=1))
+_CHAIN = Chain(egrs=(16, 16), fidelities=(0.9, 0.9))
+_ONE = IntEnum("Count", "ONE").ONE  # == 1, but not an exact int
+
+
+def _pumping_tree(k):
+    tree = LEAF
+    for _ in range(k - 1):
+        tree = (tree, LEAF)
+    return tree
+
+
+def _config(kind="route-compare", **fields):
+    return ExperimentConfig(id="x", kind=kind, **fields)
+
+
+def _seed_range(start, count):
+    return ExperimentConfig.from_dict(
+        {"id": "x", "kind": "chain-sweep", "seeds": {"start": start, "count": count}})
+
+
+# Every integer parameter: (id, call with the value, the start of its error
+# message as a regex, lo, hi). A bound of None is open. The seed-range cap
+# is patched down to 3.
+_INT_PARAMS = [
+    ("segment-length", lambda v: PurificationPlan(((v, 1),)), "segment length", 1, 3),
+    ("segment-width", lambda v: PurificationPlan(((1, v),)), "segment circuit width", 1, 8),
+    ("no-purification-plan", no_purification_plan, "n_hops", 1, None),
+    ("enumerate-segmentations", enumerate_segmentations, "n_hops", 1, MAX_CHAIN_HOPS),
+    ("segment-table-max-k", lambda v: chainopt._segment_table(0.9, 16, 1.0, 1.0, v),
+     "max_k", 1, 8),
+    ("segment-table-min-egr", lambda v: chainopt._segment_table(0.9, v, 1.0, 1.0, 8),
+     "min_egr", 0, None),
+    ("optimize-chain", lambda v: optimize_chain(_CHAIN, max_k=v), "max_k", 1, 8),
+    ("bound-max-hops", lambda v: d_bound_by_hops(0.9, PERFECT, 8, 16, v),
+     "max_hops", 1, MAX_CHAIN_HOPS),
+    ("circuit", lambda v: PurificationCircuit(v, _pumping_tree(int(v))),
+     "circuit width k", 1, 8),
+    ("circuit-for", circuit_for, "circuit width k", 1, 8),
+    ("enumerate-paths", lambda v: enumerate_paths(_SMALL, 0, 5, cutoff=v), "cutoff", 1, None),
+    ("exhaustive", lambda v: best_path_exhaustive(_SMALL, 0, 5, cutoff=v),
+     "cutoff", 1, MAX_CHAIN_HOPS),
+    ("multipath", lambda v: multipath_greedy(_SMALL, 0, 5, max_paths=v), "max_paths", 1, None),
+    ("spec-rows", lambda v: TopologySpec("square", (v, 4), 8, 32, 0.9, seed=1),
+     r"each entry of extent \(.+\)", 1, None),
+    ("spec-cols", lambda v: TopologySpec("square", (4, v), 8, 32, 0.9, seed=1),
+     r"each entry of extent \(.+\)", 1, None),
+    ("spec-seed", lambda v: TopologySpec("square", (3, 4), 8, 32, 0.9, seed=v), "seed",
+     None, None),
+    ("config-seeds", lambda v: _config(seeds=(v,)), "seeds:", None, None),
+    ("config-seed-start", lambda v: _seed_range(v, 1), "seeds: start", None, None),
+    ("config-seed-count", lambda v: _seed_range(0, v), "seeds: count", 1, 3),
+    ("config-chain-hops", lambda v: _config("chain-sweep", chain_hops=v), "chain_hops:",
+     1, MAX_CHAIN_HOPS),
+    ("config-hop-separation", lambda v: _config(hop_separation=v), "hop_separation:", 1, None),
+    ("config-extent", lambda v: _config(extent=(v, 9)), "extent:", 1, None),
+    ("config-cutoff", lambda v: _config(cutoff=v), "cutoff:", 1, MAX_CHAIN_HOPS),
+    ("config-max-paths", lambda v: _config("multipath-compare", max_paths=v), "max_paths:",
+     1, None),
+]
+
+
+@pytest.mark.parametrize("call, what, lo, hi", [row[1:] for row in _INT_PARAMS],
+                         ids=[row[0] for row in _INT_PARAMS])
+def test_every_integer_parameter_takes_one_rule(monkeypatch, call, what, lo, hi):
+    # One rule and one message: an exact int in lo..hi, else "<what> must be
+    # an integer[ >= lo| in lo..hi], got <value>". A bool, a float and an
+    # IntEnum member are not exact ints, even where they equal one in range.
+    monkeypatch.setattr(harness, "MAX_SEED_COUNT", 3)
+    span = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+    bad = [True, 2.0, _ONE] + [n + step for n, step in ((lo, -1), (hi, 1)) if n is not None]
+    for value in bad:
+        rule = f"^{what} must be an integer{re.escape(span)}, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=rule):
+            call(value)
+    for value in (lo, hi):
+        if value is not None:
+            call(value)
