@@ -159,7 +159,8 @@ def evaluate_plan(chain: Chain, plan: PurificationPlan) -> PlanEvaluation:
     Per segment: the raw links are swapped into min-EGR longer pairs, the
     segment circuit purifies them; the segment outputs are then swapped
     together and the end-to-end rate is the minimum post-purification
-    segment rate.
+    segment rate. Each circuit is folded by ``evaluate_circuit``, not read
+    from the optimizer's cached rows, so this is a reference for them.
     """
     if plan.n_hops != chain.n_hops:
         raise ValueError(

@@ -126,6 +126,8 @@ class Network:
     """
 
     def __init__(self, channels, noise: NoiseParams = PERFECT, seed: int | None = None):
+        if seed is not None:
+            check_int(seed, "seed")
         links: dict[tuple[int, int], tuple[int, float]] = {}
         for ch in channels:
             if ch.key in links:
@@ -156,9 +158,6 @@ class Network:
 
     def __contains__(self, node) -> bool:
         return node in self.peers
-
-    def neighbors(self, node) -> tuple[int, ...]:
-        return tuple([peer for peer, _ in self.peers[node]])
 
     def channel(self, u, v) -> Channel:
         key = (u, v) if u < v else (v, u)
@@ -214,7 +213,7 @@ def generate_network(spec: TopologySpec, noise: NoiseParams = PERFECT) -> Networ
 def repeater_egr(net: Network, node) -> int:
     """Sum of raw EGR over the channels incident to ``node``."""
     if node not in net:
-        raise KeyError(f"node {node!r} not in network")
+        raise ValueError(f"node {node!r} not in network")
     return sum(egr for _, egr in net.peers[node])
 
 
@@ -245,6 +244,8 @@ def scaled_egr_range(kind: str, repeater_lo: int, repeater_hi: int) -> tuple[int
     repeater range by the interior degree (6, 4, 3) puts the channel ranges
     in the 2:3:4 ratio for triangular, square, hexagonal grids.
     """
+    if kind not in LATTICE_KINDS:
+        raise ValueError(f"unknown lattice kind {kind!r}")
     degree = INTERIOR_DEGREE[kind]
     lo = max(1, _nearest(repeater_lo, degree))
     hi = max(lo, _nearest(repeater_hi, degree))

@@ -8,13 +8,13 @@ pairs pump the running output one at a time. k = 1 is the identity
 (no purification).
 
 Every tree is evaluated by one fold over its step schedule: the distinct
-purify steps of the tree, children first. The eight standard circuits share
-their subtrees, so their schedule has 7 steps, and one fold gives every
-width's (f_out, p_succ, W) at one input fidelity and noise. The fold is the
-only copy of the purify step's formula, run inline with no call per step;
-``purify_pair`` is a one-step fold. This module owns the one cache of those
-rows and of the best width under each cap, per (f_in, p2, eta), which the
-chain optimizer reads. A non-standard tree folds its own schedule, uncached.
+purify steps of the tree, children first, run inline with no call per step.
+The fold is the only copy of the purify step's formula; ``purify_pair`` is a
+one-step fold. The eight standard circuits share their subtrees, so one fold
+of 7 steps gives every width's (f_out, p_succ, W) at one input fidelity and
+noise. This module caches those rows and the best width under each cap, per
+(f_in, p2, eta), for the chain optimizer alone. ``evaluate_circuit`` folds
+each tree's own schedule, uncached, so it checks that table.
 """
 
 from __future__ import annotations
@@ -198,15 +198,11 @@ def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
     """Fold the purify step over the circuit tree with all leaves at ``f_in``.
 
     The success probability is the product of every step's success
-    probability; k = 1 gives (f_in, 1). A standard circuit (``circuit_for``)
-    reads its row of the cached fold of all eight at this ``f_in`` and
-    noise; any other tree folds its own schedule with the same ``_fold``.
+    probability; k = 1 gives (f_in, 1). Every tree folds its own schedule,
+    uncached: this shares ``_fold`` and the trees with the optimizer's cached
+    rows, not the rows, so it checks them. A bad ``f_in`` raises ValueError.
     """
-    check_fidelity(f_in)
-    if circuit == circuit_for(circuit.k):
-        f_out, p_succ, _ = _evaluate_cached(f_in, noise.p2, noise.eta)[0][circuit.k - 1]
-    else:
-        f_out, p_succ, _ = _fold(*_schedule((circuit.tree,)), (f_in,), noise.p2, noise.eta)[0]
+    f_out, p_succ, _ = _fold(*_schedule((circuit.tree,)), (f_in,), noise.p2, noise.eta)[0]
     return CircuitOutcome(f_out=f_out, p_succ=p_succ)
 
 

@@ -111,6 +111,26 @@ def test_single_hop_k8_plan_matches_oracle_fold():
     assert evaluation.rate == pytest.approx(p * 1, abs=1e-9)
 
 
+def test_evaluate_plan_catches_a_corrupted_circuit_table(monkeypatch):
+    """``evaluate_plan`` folds every circuit itself, so a fault in the cached
+    rows the optimizer reads shows as a mismatch instead of being read back."""
+    table = purify._evaluate_cached
+
+    def corrupted(f_in, p2, eta):
+        rows, tops = table(f_in, p2, eta)
+        raised = [(f + 1e-6, p, (4.0 * (f + 1e-6) - 1.0) / 3.0) for f, p, _ in rows[1:]]
+        return (rows[0], *raised), tops
+
+    monkeypatch.setattr(purify, "_evaluate_cached", corrupted)
+    monkeypatch.setattr(chainopt, "_evaluate_cached", corrupted)
+    # The uncached table function, so no corrupted row outlives the test.
+    monkeypatch.setattr(chainopt, "_segment_table", chainopt._segment_table.__wrapped__)
+    chain = Chain((64, 64), (0.91, 0.92))
+    plan, evaluation = optimize_chain(chain)
+    assert any(k > 1 for _, k in plan.segments)
+    assert evaluate_plan(chain, plan) != evaluation
+
+
 def test_evaluate_plan_rejects_bad_partition():
     chain = Chain((20, 20), (0.99, 0.99))
     with pytest.raises(ValueError):
@@ -394,8 +414,8 @@ def _fold(tree, f, noise):
 def _public_segment_table(f_raw, min_egr, p2, eta, max_k):
     """``_segment_table`` from public names, each circuit folded by ``_fold``.
 
-    ``evaluate_circuit`` reads the same cached fold as the table, so it could
-    not show a drift in that fold; a fold of ``purify_pair`` can.
+    A fold of ``purify_pair`` shares no code with the cached fold the table
+    reads, so it shows a drift in that fold's step formula as well.
     """
     noise = NoiseParams(p2, eta)
     rows = []

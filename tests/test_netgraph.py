@@ -28,7 +28,7 @@ def _bfs_distance(net, a, b):
         u = queue.popleft()
         if u == b:
             return dist[u]
-        for v in net.neighbors(u):
+        for v, _ in net.peers[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -39,14 +39,14 @@ def test_square_3x3_counts():
     net = generate_network(TopologySpec("square", (3, 3), 8, 32, 0.99, seed=1))
     assert len(net.nodes) == 9
     assert len(net.channels()) == 12
-    assert len(net.neighbors(4)) == 4  # center node
+    assert len(net.peers[4]) == 4  # center node
 
 
 def test_interior_degrees():
     for kind, degree in (("triangular", 6), ("square", 4), ("hexagonal", 3)):
         net = generate_network(TopologySpec(kind, (5, 9), 8, 32, 0.99, seed=3))
         center = 2 * 9 + 4
-        assert len(net.neighbors(center)) == degree
+        assert len(net.peers[center]) == degree
 
 
 def test_degree_ordering_across_sizes():
@@ -54,7 +54,7 @@ def test_degree_ordering_across_sizes():
         center = (extent[0] // 2) * extent[1] + extent[1] // 2
         degrees = {
             kind: len(generate_network(
-                TopologySpec(kind, extent, 8, 32, 0.99, seed=5)).neighbors(center))
+                TopologySpec(kind, extent, 8, 32, 0.99, seed=5)).peers[center])
             for kind in ("triangular", "square", "hexagonal")
         }
         assert degrees["triangular"] > degrees["square"] > degrees["hexagonal"]
@@ -67,7 +67,7 @@ def test_generated_lattices_connected_simple():
         queue = deque([net.nodes[0]])
         while queue:
             u = queue.popleft()
-            for v in net.neighbors(u):
+            for v, _ in net.peers[u]:
                 if v not in reached:
                     reached.add(v)
                     queue.append(v)
@@ -123,8 +123,8 @@ def test_generated_network_equals_one_built_from_its_channels(monkeypatch):
         assert list(again.links.items()) == list(net.links.items())
         assert again.peers == net.peers
         for node in net.nodes:
-            assert again.neighbors(node) == net.neighbors(node)
-            assert list(net.neighbors(node)) == sorted(net.neighbors(node))
+            peers = [peer for peer, _ in net.peers[node]]
+            assert peers == sorted(peers)
         assert again.channels() == net.channels()
 
 
@@ -132,7 +132,7 @@ def test_repeater_egr_sums_incident_channels():
     net = Network([Channel(0, 1, 10, 0.9), Channel(0, 2, 6, 0.9)])
     assert repeater_egr(net, 0) == 16
     assert repeater_egr(net, 1) == 10
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="node 99 not in network"):
         repeater_egr(net, 99)
 
 
@@ -158,6 +158,11 @@ def test_scaled_ranges_round_as_float_division_does():
     assert scaled_egr_range("hexagonal", 1, 10**400) == (1, 10**400 // 3)
 
 
+def test_scaled_ranges_reject_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown lattice kind 'ring'"):
+        scaled_egr_range("ring", 16, 128)
+
+
 def test_repeater_egr_means_match_across_topologies():
     # Recompute interior repeater EGR after scaling: per-node means across
     # topologies agree within sampling error.
@@ -168,7 +173,7 @@ def test_repeater_egr_means_match_across_topologies():
         for seed in range(40):
             net = generate_network(TopologySpec(kind, (5, 9), lo, hi, 0.91, seed=seed))
             center = 2 * 9 + 4
-            assert len(net.neighbors(center)) == degree
+            assert len(net.peers[center]) == degree
             samples.append(repeater_egr(net, center))
         means[kind] = mean(samples)
     for value in means.values():
@@ -356,6 +361,17 @@ def test_save_and_load_round_trip_to_the_same_bytes(tmp_path, seed):
     assert (loaded.links, loaded.noise, loaded.seed) == (net.links, net.noise, seed)
 
 
+def test_network_checks_its_seed_so_its_file_loads(tmp_path):
+    # A seed that is not an exact int would be written to a file that
+    # load_network rejects, so the constructor rejects it.
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            Network([Channel(0, 1, 8, 0.9)], seed=bad)
+    path = tmp_path / "net.json"
+    save_network(Network([Channel(0, 1, 8, 0.9)], seed=7), path)
+    assert load_network(path).seed == 7
+
+
 _SMALL = generate_network(TopologySpec("square", (2, 3), 8, 32, 0.99, seed=1))
 _CHAIN = Chain(egrs=(16, 16), fidelities=(0.9, 0.9))
 _ONE = IntEnum("Count", "ONE").ONE  # == 1, but not an exact int
@@ -405,6 +421,7 @@ _INT_PARAMS = [
      r"each entry of extent \(.+\)", 1, None),
     ("spec-seed", lambda v: TopologySpec("square", (3, 4), 8, 32, 0.9, seed=v), "seed",
      None, None),
+    ("network-seed", lambda v: Network([Channel(0, 1, 8, 0.9)], seed=v), "seed", None, None),
     ("config-seeds", lambda v: _config(seeds=(v,)), "seeds:", None, None),
     ("config-seed-start", lambda v: _seed_range(v, 1), "seeds: start", None, None),
     ("config-seed-count", lambda v: _seed_range(0, v), "seeds: count", 1, 3),

@@ -199,12 +199,25 @@ def test_standard_circuits_are_the_step_fold_from_one_walk():
     for _ in range(50):
         f = rng.uniform(0.5, 1.0)
         noise = NoiseParams(rng.uniform(0.9, 1.0), rng.uniform(0.9, 1.0))
-        misses = purify._evaluate_cached.cache_info().misses
+        info = purify._evaluate_cached.cache_info()
         for k in range(1, 9):
             out = evaluate_circuit(circuit_for(k), f, noise)
             assert (out.f_out, out.p_succ) == _fold(circuit_for(k).tree, f, noise)
-        # All eight widths at one (f, noise) come from one cached walk.
-        assert purify._evaluate_cached.cache_info().misses == misses + 1
+        # Each width folds its own tree: the optimizer's cached rows are
+        # neither read nor filled.
+        assert purify._evaluate_cached.cache_info() == info
+
+
+def test_each_standard_tree_folds_to_its_row_of_the_shared_schedule():
+    """A tree's own schedule and the 7-step schedule of all eight give the
+    same (f_out, p_succ) to the bit, so the optimizer's rows are the trees'."""
+    for p2, eta in ((1.0, 1.0), (0.99, 0.99), (0.9, 0.95)):
+        noise = NoiseParams(p2, eta)
+        for f in (0.25, 0.5, 0.81, 0.91, 0.99, 1.0):
+            rows = purify._evaluate_cached(f, p2, eta)[0]
+            for k in range(1, 9):
+                out = evaluate_circuit(circuit_for(k), f, noise)
+                assert (out.f_out, out.p_succ) == rows[k - 1][:2], (k, f, p2, eta)
 
 
 def test_checks_and_non_standard_trees_survive_the_fold():

@@ -31,7 +31,7 @@ def _all_simple_paths_reference(net, s, d, cutoff):
         if u == d:
             found.append(list(path))
             return
-        for v in net.neighbors(u):
+        for v, _ in net.peers[u]:
             if v not in visited:
                 walk(v, path + [v], visited | {v})
 
