@@ -8,17 +8,21 @@ pairs pump the running output one at a time. k = 1 is the identity
 (no purification).
 
 Every tree is evaluated by one fold over its step schedule: the distinct
-purify steps of the tree, children first, run inline with no call per step.
-The fold is the only copy of the purify step's formula; ``purify_pair`` is a
-one-step fold. The eight standard circuits share their subtrees, so one fold
-of 7 steps gives every width's (f_out, p_succ, W) at one input fidelity and
-noise. This module caches those rows and the best width under each cap, per
-(f_in, p2, eta), for the chain optimizer alone. ``evaluate_circuit`` folds
-each tree's own schedule, uncached, so it checks that table.
+purify steps of the tree, children first. Each schedule is compiled once into
+a straight-line kernel that holds every slot in a local variable, so the
+steps run with no loop, list or call; the kernel's template is the only copy
+of the purify step's formula, and ``purify_pair`` is a one-step kernel. The
+eight standard circuits share their subtrees, so one fold of 7 steps, whose
+kernel is built at import, gives every width's (f_out, p_succ, W) at one
+input fidelity and noise. This module caches those rows and the best width
+under each cap, per (f_in, p2, eta), for the chain optimizer alone.
+``evaluate_circuit`` runs each tree's own kernel, from a bounded cache by
+tree, and never reads those rows, so it checks that table.
 """
 
 from __future__ import annotations
 
+import linecache
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,72 +97,128 @@ def circuit_for(k: int) -> PurificationCircuit:
     return PurificationCircuit(k=k, tree=tree)
 
 
-def _schedule(trees) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+def _schedule(trees, leaves=(LEAF,)) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """``trees`` as one step schedule over slots.
 
-    Slot 0 holds the raw pair; step i reads the (kept, consumed) slots it
-    names and writes slot i + 1. The steps are the distinct subtrees of
-    ``trees``, children first, so trees share theirs. Also returns each
-    tree's root slot, in order.
+    Slot i < len(leaves) holds the leaf ``leaves[i]``, by default the one
+    raw pair; step i reads the (kept, consumed) slots it names and writes
+    slot len(leaves) + i. The steps are the distinct subtrees of ``trees``,
+    children first, so trees share theirs. Also returns each tree's root
+    slot, in order.
     """
-    slots = {LEAF: 0}
+    slots = {leaf: slot for slot, leaf in enumerate(leaves)}
     steps = []
 
     def place(tree) -> int:
         if tree not in slots:
             kept, consumed = tree
             steps.append((place(kept), place(consumed)))
-            slots[tree] = len(steps)
+            slots[tree] = len(slots)
         return slots[tree]
 
     roots = tuple(place(tree) for tree in trees)
     return tuple(steps), roots
 
 
-_STEPS, _ROOTS = _schedule(circuit_for(k).tree for k in range(1, MAX_CIRCUIT_K + 1))
-
-
-def _fold(steps, roots, leaves, p2: float, eta: float
-          ) -> tuple[tuple[float, float, float], ...]:
-    """(f_out, p_succ, W) at each root of a schedule, slot i holding ``leaves[i]``.
-
-    This is the one copy of the purify step's formula; ``purify_pair`` is a
-    one-step fold. The step runs inline over flat lists of fidelities and
-    success probabilities, with no call per step. A subtree's success
-    probability is p_kept * p_cons * p_succ, in that order, so every float
-    is the one a walk of its tree gives. W is fidelity_to_w's (4F - 1) / 3.
-    A leaf that is a bool or outside [1/4, 1], or a step output outside
-    [1/4, 1], raises check_fidelity's ValueError (a step output is a float
-    quotient, never a bool), and a noise pair outside NoiseParams' ranges
-    its ValueError.
-    """
-    if p2 is True or eta is True or not (0.0 < p2 <= 1.0 and 0.5 < eta <= 1.0):
-        NoiseParams(p2, eta)  # raises for the invalid value
-    for f in leaves:
-        if f is True or not F_MIN <= f <= 1.0:
-            check_fidelity(f)
+# A schedule's fold is compiled into one straight-line function, its kernel,
+# that runs every step with no loop, list or call. Slot i's fidelity, its
+# (1 - F) / 3 and its success probability are the kernel's locals f{i}, a{i}
+# and prob{i}; only these integer slot numbers are formatted into the source.
+# _STEP is the one copy of the purify step's formula. A subtree's success
+# probability is prob_kept * prob_cons * p_succ, in that order, so every float
+# is the one a walk of its tree gives.
+_HEAD = """\
+def kernel(leaves, p2, eta):
     # Both CNOTs survive with g2; the two readouts are both right or both
     # wrong with m_eq, and exactly one is wrong with m_x.
     g2 = p2 * p2
     m_eq = eta * eta + (1.0 - eta) * (1.0 - eta)
     m_x = 2.0 * eta * (1.0 - eta)
     half, eighth = (1.0 - g2) * 0.5, (1.0 - g2) * 0.125
-    fids, probs = list(leaves), [1.0] * len(leaves)
-    for kept, consumed in steps:
-        f1, f2 = fids[kept], fids[consumed]
-        a1 = (1.0 - f1) / 3.0
-        a2 = (1.0 - f2) / 3.0
-        ff, fa, aa = f1 * f2, f1 * a2, a1 * a2
-        # True-coincidence probability; the kept pair's phi+ weights in the
-        # coinciding and anti-coinciding branches are ff + aa and fa + aa.
-        s_even = ff + fa + f2 * a1 + 5.0 * a1 * a2
-        p_succ = g2 * (m_eq * s_even + m_x * (1.0 - s_even)) + half
-        f_out = (g2 * (m_eq * (ff + aa) + m_x * (fa + aa)) + eighth) / p_succ
-        if not F_MIN <= f_out <= 1.0:
-            check_fidelity(f_out)
-        fids.append(f_out)
-        probs.append(probs[kept] * probs[consumed] * p_succ)
-    return tuple([(fids[root], probs[root], (4.0 * fids[root] - 1.0) / 3.0) for root in roots])
+"""
+# s_even is the true-coincidence probability; the kept pair's phi+ weights in
+# the coinciding and anti-coinciding branches are ff + aa and fa + aa.
+_STEP = """\
+    ff, fa, aa = f{kept} * f{consumed}, f{kept} * a{consumed}, a{kept} * a{consumed}
+    s_even = ff + fa + f{consumed} * a{kept} + 5.0 * a{kept} * a{consumed}
+    p_succ = g2 * (m_eq * s_even + m_x * (1.0 - s_even)) + half
+    f{slot} = (g2 * (m_eq * (ff + aa) + m_x * (fa + aa)) + eighth) / p_succ
+    prob{slot} = prob{kept} * prob{consumed} * p_succ
+"""
+
+
+def _compile(steps, roots, n_leaves: int):
+    """The kernel of a schedule whose first ``n_leaves`` slots are leaves.
+
+    ``kernel(leaves, p2, eta)`` returns every step's output fidelity, in
+    step order, and (f_out, p_succ, W) at each root, W being fidelity_to_w's
+    (4F - 1) / 3. It checks nothing: ``_fold`` checks its inputs and outputs.
+    The source is registered in ``linecache`` under a name that spells the
+    schedule, so tracebacks and ``inspect.getsource`` show its lines; trees
+    of at most 8 leaves have finitely many schedules, so those entries stay
+    few.
+    """
+    read = {slot for step in steps for slot in step}
+    lines = [_HEAD]
+    for slot in range(n_leaves + len(steps)):
+        if slot < n_leaves:
+            lines.append(f"    f{slot}, prob{slot} = leaves[{slot}], 1.0\n")
+        else:
+            kept, consumed = steps[slot - n_leaves]
+            lines.append(_STEP.format(kept=kept, consumed=consumed, slot=slot))
+        if slot in read:
+            lines.append(f"    a{slot} = (1.0 - f{slot}) / 3.0\n")
+    outs = "".join(f"f{slot}, " for slot in range(n_leaves, n_leaves + len(steps)))
+    rows = "".join(f"(f{slot}, prob{slot}, (4.0 * f{slot} - 1.0) / 3.0), " for slot in roots)
+    lines.append(f"    return ({outs}), ({rows})\n")
+    source = "".join(lines)
+    name = f"<entroute.purify kernel: {len(steps)} steps {steps}, roots {roots}, leaves={n_leaves}>"
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    namespace = {}
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["kernel"]
+
+
+_STEPS, _ROOTS = _schedule(circuit_for(k).tree for k in range(1, MAX_CIRCUIT_K + 1))
+# Built here, not in a cache: emptying the package's caches, as every
+# benchmark instance does, must not compile it again.
+_STANDARD = _compile(_STEPS, _ROOTS, 1)
+# purify_pair's tree: one step over two distinct leaves, the first kept.
+_PAIR = ("kept", "consumed")
+
+
+@lru_cache(maxsize=128)
+def _tree_kernel(tree, leaves=(LEAF,)):
+    """The kernel of ``tree``'s own schedule over ``leaves``."""
+    return _compile(*_schedule((tree,), leaves), len(leaves))
+
+
+def _fold(kernel, leaves, p2: float, eta: float) -> tuple[tuple[float, float, float], ...]:
+    """(f_out, p_succ, W) at each root of ``kernel``'s schedule, slot i
+    holding ``leaves[i]``.
+
+    A leaf that is a bool or not a number in [1/4, 1], or a step output
+    outside [1/4, 1], raises check_fidelity's ValueError (a step output is a
+    float quotient, never a bool), and a noise pair outside NoiseParams'
+    ranges its ValueError. A value that does not compare with a float, such
+    as None or a string, raises the same ValueErrors.
+    """
+    try:
+        if p2 is True or eta is True or not (0.0 < p2 <= 1.0 and 0.5 < eta <= 1.0):
+            NoiseParams(p2, eta)  # raises for the invalid value
+        for f in leaves:
+            if f is True or not F_MIN <= f <= 1.0:
+                check_fidelity(f)
+    except TypeError:  # a value that does not compare with a float
+        NoiseParams(p2, eta)
+        for f in leaves:
+            check_fidelity(f)
+        raise
+    outs, rows = kernel(leaves, p2, eta)
+    for f in outs:
+        if not F_MIN <= f <= 1.0:
+            check_fidelity(f)
+    return rows
 
 
 def purify_pair(f1: float, f2: float, noise: NoiseParams = PERFECT) -> CircuitOutcome:
@@ -169,9 +229,9 @@ def purify_pair(f1: float, f2: float, noise: NoiseParams = PERFECT) -> CircuitOu
     with per-measurement flip probability 1 - eta, and keeps the first pair
     when the reported outcomes coincide. The kept state is re-twirled to
     Werner form, so only its fidelity is tracked. This is a one-step
-    ``_fold``: slot 0 (``f1``) kept, slot 1 (``f2``) consumed.
+    fold: slot 0 (``f1``) kept, slot 1 (``f2``) consumed.
     """
-    f_out, p_succ, _ = _fold(((0, 1),), (2,), (f1, f2), noise.p2, noise.eta)[0]
+    f_out, p_succ, _ = _fold(_tree_kernel(_PAIR, _PAIR), (f1, f2), noise.p2, noise.eta)[0]
     return CircuitOutcome(f_out=f_out, p_succ=p_succ)
 
 
@@ -183,7 +243,7 @@ def _evaluate_cached(f_in: float, p2: float, eta: float) -> tuple[tuple, tuple[i
     (W, f_out), the smaller width on a tie. No EGR enters, so every segment
     at one fidelity and noise reads the same entry. The cache is typed, so a
     bool misses the entry of 1.0 and is rejected."""
-    rows = _fold(_STEPS, _ROOTS, (f_in,), p2, eta)
+    rows = _fold(_STANDARD, (f_in,), p2, eta)
     f_top, _, w_top = rows[0]
     top, tops = 1, [1]
     for k, (f_out, _, w) in enumerate(rows[1:], 2):
@@ -198,11 +258,12 @@ def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
     """Fold the purify step over the circuit tree with all leaves at ``f_in``.
 
     The success probability is the product of every step's success
-    probability; k = 1 gives (f_in, 1). Every tree folds its own schedule,
-    uncached: this shares ``_fold`` and the trees with the optimizer's cached
-    rows, not the rows, so it checks them. A bad ``f_in`` raises ValueError.
+    probability; k = 1 gives (f_in, 1). Every tree runs the kernel of its
+    own schedule, cached by tree: this shares the step formula and the trees
+    with the optimizer's cached rows, not the rows, so it checks them. A bad
+    ``f_in`` raises ValueError.
     """
-    f_out, p_succ, _ = _fold(*_schedule((circuit.tree,)), (f_in,), noise.p2, noise.eta)[0]
+    f_out, p_succ, _ = _fold(_tree_kernel(circuit.tree), (f_in,), noise.p2, noise.eta)[0]
     return CircuitOutcome(f_out=f_out, p_succ=p_succ)
 
 

@@ -35,10 +35,13 @@ class NoiseParams:
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.p2 is True or not 0.0 < self.p2 <= 1.0:
-            raise ValueError(f"p2 must be a number in (0, 1], got {self.p2!r}")
-        if self.eta is True or not 0.5 < self.eta <= 1.0:
-            raise ValueError(f"eta must be a number in (0.5, 1], got {self.eta!r}")
+        for name, value, low in (("p2", self.p2, 0.0), ("eta", self.eta, 0.5)):
+            try:
+                if value is not True and low < value <= 1.0:
+                    continue
+            except TypeError:  # None, a string or a complex: not a real number
+                pass
+            raise ValueError(f"{name} must be a number in ({low:g}, 1], got {value!r}")
 
     @property
     def swap_factor(self) -> float:
@@ -53,11 +56,15 @@ def check_fidelity(f: float) -> float:
     """Validate a Werner fidelity; returns it unchanged.
 
     Fidelities outside [0.25, 1] cannot arise from valid operations on valid
-    states, so they are rejected rather than clamped; so is a bool.
+    states, so they are rejected rather than clamped; so is a bool, and so
+    is a value that does not compare with a float, such as None or a string.
     """
-    if f is True or not F_MIN <= f <= 1.0:
-        raise ValueError(f"Werner fidelity must be a number in [0.25, 1], got {f!r}")
-    return f
+    try:
+        if f is not True and F_MIN <= f <= 1.0:
+            return f
+    except TypeError:
+        pass
+    raise ValueError(f"Werner fidelity must be a number in [0.25, 1], got {f!r}")
 
 
 def fidelity_to_w(f: float) -> float:

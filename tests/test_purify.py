@@ -1,5 +1,8 @@
+import inspect
 import itertools
 import random
+import sys
+import traceback
 
 import pytest
 
@@ -237,6 +240,73 @@ def test_checks_and_non_standard_trees_survive_the_fold():
             for noise in (NoiseParams(1.0, 1.0), NOISY):
                 out = evaluate_circuit(circuit, f, noise)
                 assert (out.f_out, out.p_succ) == _fold(tree, f, noise)
+
+
+def _random_tree(rng, leaves):
+    if leaves == 1:
+        return LEAF
+    kept = rng.randint(1, leaves - 1)
+    return (_random_tree(rng, kept), _random_tree(rng, leaves - kept))
+
+
+def test_random_trees_fold_to_the_recursive_walk_bit_for_bit():
+    # Each tree runs its own compiled kernel; the walk calls purify_pair,
+    # whose one-step kernel is another compiled schedule.
+    rng = random.Random(31)
+    trees = [_random_tree(rng, rng.randint(1, 8)) for _ in range(60)]
+    for p2, eta in ((1.0, 1.0), (0.99, 0.99), (0.9, 0.95)):
+        noise = NoiseParams(p2, eta)
+        for tree in trees:
+            circuit = PurificationCircuit(k=_leaves(tree), tree=tree)
+            for f in (0.25, 0.5, 0.81, 0.91, 0.99, 1.0):
+                out = evaluate_circuit(circuit, f, noise)
+                assert (out.f_out, out.p_succ) == _fold(tree, f, noise), (tree, f, p2, eta)
+
+
+def test_the_standard_kernel_survives_emptying_every_cache(monkeypatch):
+    # The benchmark empties every lru_cache of the package before each
+    # instance; the standard kernel is built at import, so no instance
+    # compiles it again.
+    def refuse(*args):
+        raise AssertionError("a kernel was compiled")
+
+    monkeypatch.setattr(purify, "_compile", refuse)
+    for name, module in list(sys.modules.items()):
+        if name == "entroute" or name.startswith("entroute."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    rows, tops = purify._evaluate_cached(0.9, 1.0, 1.0)
+    assert len(rows) == len(tops) == purify.MAX_CIRCUIT_K
+    # The per-tree kernels were emptied with the caches.
+    for call in (lambda: evaluate_circuit(circuit_for(2), 0.9), lambda: purify_pair(0.9, 0.9)):
+        with pytest.raises(AssertionError, match="compiled"):
+            call()
+
+
+def test_the_per_tree_kernel_cache_is_bounded():
+    bound = purify._tree_kernel.cache_info().maxsize
+    assert bound is not None
+    rng = random.Random(7)
+    trees = set()
+    while len(trees) < bound + 10:
+        trees.add(_random_tree(rng, rng.randint(6, 8)))
+    purify._tree_kernel.cache_clear()
+    for tree in sorted(trees, key=repr):
+        evaluate_circuit(PurificationCircuit(k=_leaves(tree), tree=tree), 0.9)
+    assert purify._tree_kernel.cache_info().currsize == bound
+
+
+def test_kernel_source_shows_in_tracebacks_and_inspect():
+    source = inspect.getsource(purify._STANDARD)
+    assert source.startswith("def kernel(leaves, p2, eta):")
+    assert source.count("p_succ = g2") == len(purify._STEPS)
+    # The kernel checks nothing itself, so a bad leaf fails on its line.
+    with pytest.raises(TypeError) as info:
+        purify._STANDARD((None,), 1.0, 1.0)
+    shown = "".join(traceback.format_exception(info.value))
+    assert "<entroute.purify kernel: 7 steps" in shown
+    assert "a0 = (1.0 - f0) / 3.0" in shown
 
 
 # Noise pairs spanning the valid range, p2 from 1e-3 to 1 and eta from just

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from entroute import werner
+from entroute import purify, werner
+from entroute.chainopt import Chain
 from entroute.dmsim import simulate_swap_step
+from entroute.purify import circuit_for, evaluate_circuit, purify_pair
 from entroute.werner import (NoiseParams, PERFECT, distillable,
                              distillable_per_pair, fidelity_to_w,
                              swap_fidelity, w_to_fidelity)
@@ -52,6 +54,38 @@ def test_noise_params_validation():
     with pytest.raises(ValueError, match="eta"):
         NoiseParams(1.0, True)
     assert PERFECT.swap_factor == 1.0
+
+
+_NOT_REAL = [
+    pytest.param(lambda: werner.check_fidelity(None), "fidelity", id='check_fidelity(None)'),
+    pytest.param(lambda: werner.check_fidelity("0.9"), "fidelity", id='check_fidelity("0.9")'),
+    pytest.param(lambda: werner.check_fidelity(1j), "fidelity", id='check_fidelity(1j)'),
+    pytest.param(lambda: purify_pair(None, 0.9), "fidelity", id='purify_pair(None, 0.9)'),
+    pytest.param(lambda: purify_pair(0.9, "0.9"), "fidelity", id='purify_pair(0.9, "0.9")'),
+    pytest.param(lambda: evaluate_circuit(circuit_for(2), None), "fidelity",
+                 id="evaluate_circuit(circuit_for(2), None)"),
+    pytest.param(lambda: evaluate_circuit(circuit_for(8), 1j, NOISY), "fidelity",
+                 id="evaluate_circuit(circuit_for(8), 1j, NOISY)"),
+    pytest.param(lambda: NoiseParams("1", 1.0), "p2", id='NoiseParams("1", 1.0)'),
+    pytest.param(lambda: NoiseParams(1.0, None), "eta", id='NoiseParams(1.0, None)'),
+    pytest.param(lambda: NoiseParams(1j, 1.0), "p2", id='NoiseParams(1j, 1.0)'),
+    pytest.param(lambda: distillable_per_pair(None), "fidelity", id='distillable_per_pair(None)'),
+    pytest.param(lambda: Chain((8,), (None,)), "fidelity", id='Chain((8,), (None,))'),
+    pytest.param(lambda: purify._evaluate_cached(0.9, None, 1.0), "p2",
+                 id="_evaluate_cached(0.9, None, 1.0)"),
+    pytest.param(lambda: purify._evaluate_cached(0.9, 1.0, "1"), "eta",
+                 id='_evaluate_cached(0.9, 1.0, "1")'),
+    pytest.param(lambda: purify._evaluate_cached(None, 1.0, 1.0), "fidelity",
+                 id="_evaluate_cached(None, 1.0, 1.0)"),
+]
+
+
+@pytest.mark.parametrize("call, field", _NOT_REAL)
+def test_a_value_that_is_not_a_real_number_raises_value_error(call, field):
+    # None, a string or a complex does not compare with a float; the checks
+    # name the parameter instead of letting that comparison's TypeError out.
+    with pytest.raises(ValueError, match=field):
+        call()
 
 
 def test_swap_single_pair_unchanged():
