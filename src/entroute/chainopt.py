@@ -20,8 +20,8 @@ from operator import itemgetter
 from .netgraph import Network, check_egr, check_egr_range, check_int
 from .purify import (MAX_CIRCUIT_K, _evaluate_cached, circuit_for, evaluate_circuit,
                      post_purification_rate)
-from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, distillable,
-                     distillable_per_pair, swap_fidelity)
+from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, check_noise_params,
+                     distillable, distillable_per_pair, swap_fidelity)
 
 MAX_CHAIN_HOPS = 10
 MAX_SEGMENT_HOPS = 3
@@ -53,6 +53,7 @@ class Chain:
             check_egr(egr, "hop egr")
         for f in self.fidelities:
             check_fidelity(f)
+        check_noise_params(self.noise)
 
     @property
     def n_hops(self) -> int:
@@ -383,7 +384,7 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     """
     check_egr_range(min_egr, max_egr, "min and max EGR")
     check_int(max_hops, "max_hops", 1, MAX_CHAIN_HOPS)
-    swap = noise.swap_factor
+    swap = check_noise_params(noise).swap_factor
     # D <= r, so a threshold below every entry raises none.
     stop = 0.0
     # (rate, holds the minimum hop, hops, W * swap) for every segment circuit;

@@ -24,7 +24,7 @@ from .netgraph import (GENERATOR_NAME, LATTICE_KINDS, TopologySpec, check_egr, c
                        scaled_egr_range)
 from .routing import LinkCost, best_path_exhaustive, multipath_greedy, weighted_routes
 from .routing import shortest_weighted_path  # noqa: F401  (rebound by bench/layers.py)
-from .werner import NoiseParams, check_fidelity
+from .werner import NoiseParams, check_fidelity, check_noise
 
 EXPERIMENT_KINDS = ("chain-sweep", "route-compare", "multipath-compare")
 # A {start, count} seed range is built as a tuple; far above any real sweep.
@@ -135,7 +135,6 @@ def _test(holds, want: str):
     return test
 
 
-_NUMBER = _test(lambda v: type(v) is int or isinstance(v, float), "a number")
 _POSITIVE = _test(lambda n: type(n) is int and n >= 1, "an integer >= 1")
 # A longer chain or path has no purification plan to score.
 _HOPS = _test(lambda n: type(n) is int and 1 <= n <= MAX_CHAIN_HOPS,
@@ -151,8 +150,8 @@ _RULES = {
     "kind": ("one", _test(lambda v: v in EXPERIMENT_KINDS, f"one of {EXPERIMENT_KINDS}")),
     "seeds": ("list", _test(lambda v: type(v) is int, "an integer")),
     # A gate fidelity sets both p2 and eta.
-    "gate_fidelities": ("list", lambda g: NoiseParams(_NUMBER(g), g)),
-    "channel_fidelities": ("list", lambda f: check_fidelity(_NUMBER(f))),
+    "gate_fidelities": ("list", lambda g: check_noise(g, g)),
+    "channel_fidelities": ("list", check_fidelity),
     "chain_hops": ("one", _HOPS),
     "chain_egr": ("one", lambda egr: check_egr(egr, "chain egr")),
     "topologies": ("list", _test(lambda v: v in LATTICE_KINDS, f"one of {LATTICE_KINDS}")),

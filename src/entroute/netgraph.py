@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .werner import NoiseParams, PERFECT, check_fidelity
+from .werner import NoiseParams, PERFECT, check_fidelity, check_noise_params
 
 NETWORK_FORMAT = "entroute-network/1"
 GENERATOR_NAME = "splitmix64/v1"
@@ -77,6 +77,8 @@ class Channel:
     raw_fidelity: float
 
     def __post_init__(self):
+        check_int(self.u, "channel endpoint u")
+        check_int(self.v, "channel endpoint v")
         if self.u == self.v:
             raise ValueError("channel endpoints must be distinct")
         if self.u > self.v:
@@ -143,7 +145,7 @@ class Network:
         return net
 
     def _fill(self, links: dict, noise: NoiseParams, seed: int | None) -> None:
-        self.noise = noise
+        self.noise = check_noise_params(noise)
         self.seed = seed
         self.links = links
         # Walking the keys in ascending order appends each node's lower peers

@@ -12,10 +12,11 @@ purify steps of the tree, children first. Each schedule is compiled once into
 a straight-line kernel that holds every slot in a local variable, so the
 steps run with no loop, list or call; the kernel's template is the only copy
 of the purify step's formula, and ``purify_pair`` is a one-step kernel. The
-eight standard circuits share their subtrees, so one fold of 7 steps, whose
-kernel is built at import, gives every width's (f_out, p_succ, W) at one
-input fidelity and noise. This module caches those rows and the best width
-under each cap, per (f_in, p2, eta), for the chain optimizer alone.
+fold checks its inputs through their owners in ``werner``, and the kernel
+returns each root's (F, p_succ, W). The eight standard circuits share their
+subtrees, so one fold of 7 steps, built at import, gives every width's row
+at one input fidelity and noise. This module caches those rows and the best
+width under each cap, per (f_in, p2, eta), for the chain optimizer alone.
 ``evaluate_circuit`` runs each tree's own kernel, from a bounded cache by
 tree, and never reads those rows, so it checks that table.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .netgraph import MAX_EGR, check_int
-from .werner import F_MIN, PERFECT, NoiseParams, check_fidelity
+from .werner import PERFECT, NoiseParams, check_fidelity, check_noise, check_noise_params
 
 MAX_CIRCUIT_K = 8
 
@@ -150,9 +151,9 @@ _STEP = """\
 def _compile(steps, roots, n_leaves: int):
     """The kernel of a schedule whose first ``n_leaves`` slots are leaves.
 
-    ``kernel(leaves, p2, eta)`` returns every step's output fidelity, in
-    step order, and (f_out, p_succ, W) at each root, W being fidelity_to_w's
-    (4F - 1) / 3. It checks nothing: ``_fold`` checks its inputs and outputs.
+    ``kernel(leaves, p2, eta)`` returns (f_out, p_succ, W) at each root, W
+    being fidelity_to_w's (4F - 1) / 3. It checks nothing: ``_fold`` checks
+    its inputs.
     The source is registered in ``linecache`` under a name that spells the
     schedule, so tracebacks and ``inspect.getsource`` show its lines; trees
     of at most 8 leaves have finitely many schedules, so those entries stay
@@ -168,9 +169,8 @@ def _compile(steps, roots, n_leaves: int):
             lines.append(_STEP.format(kept=kept, consumed=consumed, slot=slot))
         if slot in read:
             lines.append(f"    a{slot} = (1.0 - f{slot}) / 3.0\n")
-    outs = "".join(f"f{slot}, " for slot in range(n_leaves, n_leaves + len(steps)))
     rows = "".join(f"(f{slot}, prob{slot}, (4.0 * f{slot} - 1.0) / 3.0), " for slot in roots)
-    lines.append(f"    return ({outs}), ({rows})\n")
+    lines.append(f"    return ({rows})\n")
     source = "".join(lines)
     name = f"<entroute.purify kernel: {len(steps)} steps {steps}, roots {roots}, leaves={n_leaves}>"
     linecache.cache[name] = (len(source), None, source.splitlines(True), name)
@@ -195,30 +195,12 @@ def _tree_kernel(tree, leaves=(LEAF,)):
 
 def _fold(kernel, leaves, p2: float, eta: float) -> tuple[tuple[float, float, float], ...]:
     """(f_out, p_succ, W) at each root of ``kernel``'s schedule, slot i
-    holding ``leaves[i]``.
-
-    A leaf that is a bool or not a number in [1/4, 1], or a step output
-    outside [1/4, 1], raises check_fidelity's ValueError (a step output is a
-    float quotient, never a bool), and a noise pair outside NoiseParams'
-    ranges its ValueError. A value that does not compare with a float, such
-    as None or a string, raises the same ValueErrors.
-    """
-    try:
-        if p2 is True or eta is True or not (0.0 < p2 <= 1.0 and 0.5 < eta <= 1.0):
-            NoiseParams(p2, eta)  # raises for the invalid value
-        for f in leaves:
-            if f is True or not F_MIN <= f <= 1.0:
-                check_fidelity(f)
-    except TypeError:  # a value that does not compare with a float
-        NoiseParams(p2, eta)
-        for f in leaves:
-            check_fidelity(f)
-        raise
-    outs, rows = kernel(leaves, p2, eta)
-    for f in outs:
-        if not F_MIN <= f <= 1.0:
-            check_fidelity(f)
-    return rows
+    holding ``leaves[i]``. The noise pair and each leaf raise their owner's
+    ValueError; no step of valid inputs leaves [1/4, 1], so none is checked."""
+    check_noise(p2, eta)
+    for f in leaves:
+        check_fidelity(f)
+    return kernel(leaves, p2, eta)
 
 
 def purify_pair(f1: float, f2: float, noise: NoiseParams = PERFECT) -> CircuitOutcome:
@@ -231,6 +213,7 @@ def purify_pair(f1: float, f2: float, noise: NoiseParams = PERFECT) -> CircuitOu
     Werner form, so only its fidelity is tracked. This is a one-step
     fold: slot 0 (``f1``) kept, slot 1 (``f2``) consumed.
     """
+    check_noise_params(noise)
     f_out, p_succ, _ = _fold(_tree_kernel(_PAIR, _PAIR), (f1, f2), noise.p2, noise.eta)[0]
     return CircuitOutcome(f_out=f_out, p_succ=p_succ)
 
@@ -261,8 +244,12 @@ def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
     probability; k = 1 gives (f_in, 1). Every tree runs the kernel of its
     own schedule, cached by tree: this shares the step formula and the trees
     with the optimizer's cached rows, not the rows, so it checks them. A bad
-    ``f_in`` raises ValueError.
+    ``f_in``, a ``circuit`` that is not a ``PurificationCircuit`` or a
+    ``noise`` that is not a ``NoiseParams`` raises ValueError.
     """
+    if type(circuit) is not PurificationCircuit:
+        raise ValueError(f"circuit must be a PurificationCircuit, got {circuit!r}")
+    check_noise_params(noise)
     f_out, p_succ, _ = _fold(_tree_kernel(circuit.tree), (f_in,), noise.p2, noise.eta)[0]
     return CircuitOutcome(f_out=f_out, p_succ=p_succ)
 
@@ -295,5 +282,6 @@ def oracle_simulate_step(f1: float, f2: float,
 
     check_fidelity(f1)
     check_fidelity(f2)
+    check_noise_params(noise)
     f_out, p_succ = dmsim.simulate_purify_step(f1, f2, noise.p2, noise.eta)
     return CircuitOutcome(f_out=f_out, p_succ=p_succ)

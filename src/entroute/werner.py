@@ -20,6 +20,32 @@ F_MIN = 0.25  # fidelity of the maximally mixed two-qubit state (W = 0)
 _BELOW_HASHING_ROOT = 0.81
 
 
+def is_number(v) -> bool:
+    """An exact ``int`` or a ``float`` (as numpy's float64), not a bool,
+    Decimal, Fraction or float32: the float counterpart of ``check_int``."""
+    return type(v) is int or isinstance(v, float)
+
+
+def check_fidelity(f: float) -> float:
+    """Validate a Werner fidelity; returns it unchanged.
+
+    Fidelities outside [0.25, 1] cannot arise from valid operations on valid
+    states, so they are rejected rather than clamped, as is a non-number.
+    """
+    if is_number(f) and F_MIN <= f <= 1.0:
+        return f
+    raise ValueError(f"Werner fidelity must be a number in [0.25, 1], got {f!r}")
+
+
+def check_noise(p2: float, eta: float) -> None:
+    """Raise ValueError, naming the parameter, unless ``p2`` is a number in
+    (0, 1] and ``eta`` a number in (1/2, 1] (see ``NoiseParams``)."""
+    if not (is_number(p2) and 0.0 < p2 <= 1.0):
+        raise ValueError(f"p2 must be a number in (0, 1], got {p2!r}")
+    if not (is_number(eta) and 0.5 < eta <= 1.0):
+        raise ValueError(f"eta must be a number in (0.5, 1], got {eta!r}")
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Gate and measurement error model for repeater operations.
@@ -35,13 +61,7 @@ class NoiseParams:
     eta: float = 1.0
 
     def __post_init__(self):
-        for name, value, low in (("p2", self.p2, 0.0), ("eta", self.eta, 0.5)):
-            try:
-                if value is not True and low < value <= 1.0:
-                    continue
-            except TypeError:  # None, a string or a complex: not a real number
-                pass
-            raise ValueError(f"{name} must be a number in ({low:g}, 1], got {value!r}")
+        check_noise(self.p2, self.eta)
 
     @property
     def swap_factor(self) -> float:
@@ -52,19 +72,11 @@ class NoiseParams:
 PERFECT = NoiseParams(1.0, 1.0)
 
 
-def check_fidelity(f: float) -> float:
-    """Validate a Werner fidelity; returns it unchanged.
-
-    Fidelities outside [0.25, 1] cannot arise from valid operations on valid
-    states, so they are rejected rather than clamped; so is a bool, and so
-    is a value that does not compare with a float, such as None or a string.
-    """
-    try:
-        if f is not True and F_MIN <= f <= 1.0:
-            return f
-    except TypeError:
-        pass
-    raise ValueError(f"Werner fidelity must be a number in [0.25, 1], got {f!r}")
+def check_noise_params(noise) -> NoiseParams:
+    """``noise`` if it is a ``NoiseParams``, else a ValueError naming it."""
+    if type(noise) is not NoiseParams:
+        raise ValueError(f"noise must be a NoiseParams, got {noise!r}")
+    return noise
 
 
 def fidelity_to_w(f: float) -> float:
@@ -75,8 +87,8 @@ def fidelity_to_w(f: float) -> float:
 
 def w_to_fidelity(w: float) -> float:
     """Fidelity F = (3W + 1) / 4 of a Werner state with parameter ``w``."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"Werner parameter must be in [0, 1], got {w}")
+    if not (is_number(w) and 0.0 <= w <= 1.0):
+        raise ValueError(f"Werner parameter must be a number in [0, 1], got {w!r}")
     return (3.0 * w + 1.0) / 4.0
 
 
@@ -89,8 +101,9 @@ def swap_fidelity(fids: list[float] | tuple[float, ...], noise: NoiseParams = PE
     (correctness eta), contributing one factor p2 * (4 eta^2 - 1) / 3 to the
     Werner parameter. A single pair is returned unchanged.
     """
-    if len(fids) == 0:
-        raise ValueError("swap_fidelity requires at least one pair")
+    if not (isinstance(fids, (list, tuple)) and fids):
+        raise ValueError(f"fids must be a non-empty list or tuple of fidelities, got {fids!r}")
+    check_noise_params(noise)
     if len(fids) == 1:
         return check_fidelity(fids[0])
     w = 1.0
@@ -117,6 +130,6 @@ def distillable_per_pair(f: float) -> float:
 
 def distillable(m: float, f: float) -> float:
     """Total ebits distillable from ``m`` Werner pairs of fidelity ``f``."""
-    if not m >= 0:  # also rejects NaN
-        raise ValueError(f"pair count must be >= 0, got {m}")
+    if not (is_number(m) and m >= 0):  # also rejects NaN
+        raise ValueError(f"pair count must be a number >= 0, got {m!r}")
     return m * distillable_per_pair(f)

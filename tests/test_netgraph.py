@@ -422,6 +422,8 @@ _INT_PARAMS = [
     ("spec-seed", lambda v: TopologySpec("square", (3, 4), 8, 32, 0.9, seed=v), "seed",
      None, None),
     ("network-seed", lambda v: Network([Channel(0, 1, 8, 0.9)], seed=v), "seed", None, None),
+    ("channel-u", lambda v: Channel(v, 99, 8, 0.9), "channel endpoint u", None, None),
+    ("channel-v", lambda v: Channel(0, v, 8, 0.9), "channel endpoint v", None, None),
     ("config-seeds", lambda v: _config(seeds=(v,)), "seeds:", None, None),
     ("config-seed-start", lambda v: _seed_range(v, 1), "seeds: start", None, None),
     ("config-seed-count", lambda v: _seed_range(0, v), "seeds: count", 1, 3),

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import random
 import sys
 import traceback
@@ -261,6 +262,35 @@ def test_random_trees_fold_to_the_recursive_walk_bit_for_bit():
             for f in (0.25, 0.5, 0.81, 0.91, 0.99, 1.0):
                 out = evaluate_circuit(circuit, f, noise)
                 assert (out.f_out, out.p_succ) == _fold(tree, f, noise), (tree, f, p2, eta)
+
+
+def _subtrees(tree):
+    if tree is LEAF:
+        return []
+    return _subtrees(tree[0]) + _subtrees(tree[1]) + [tree]
+
+
+# Edge inputs of the fold: fidelities at and next to both ends of [1/4, 1],
+# p2 down to 1e-9 and eta just above 1/2.
+_EDGE_FIDELITIES = (0.25, math.nextafter(0.25, 1.0), 0.5, 0.81, math.nextafter(1.0, 0.0), 1.0)
+_EDGE_NOISE = list(itertools.product((1.0, 0.99, 1e-9), (1.0, 0.99, math.nextafter(0.5, 1.0))))
+
+
+def test_every_step_output_of_valid_inputs_is_a_fidelity():
+    # The fold checks its inputs only; no step of valid inputs leaves
+    # [1/4, 1]. Every step output is a root of one of these kernels: the
+    # standard schedule, each random tree with every subtree as a root, and
+    # the pair kernel.
+    rng = random.Random(41)
+    trees = [_random_tree(rng, rng.randint(1, 8)) for _ in range(40)]
+    kernels = [(purify._STANDARD, 1), (purify._tree_kernel(purify._PAIR, purify._PAIR), 2)]
+    kernels += [(purify._compile(*purify._schedule(_subtrees(tree) or [LEAF]), 1), 1)
+                for tree in trees]
+    for kernel, n_leaves in kernels:
+        for leaves in itertools.product(_EDGE_FIDELITIES, repeat=n_leaves):
+            for p2, eta in _EDGE_NOISE:
+                for f_out, _, _ in purify._fold(kernel, leaves, p2, eta):
+                    assert 0.25 <= f_out <= 1.0, (kernel, leaves, p2, eta, f_out)
 
 
 def test_the_standard_kernel_survives_emptying_every_cache(monkeypatch):

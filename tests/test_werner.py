@@ -1,12 +1,16 @@
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from entroute import purify, werner
-from entroute.chainopt import Chain
+from entroute.chainopt import Chain, d_bound_by_hops
 from entroute.dmsim import simulate_swap_step
-from entroute.purify import circuit_for, evaluate_circuit, purify_pair
+from entroute.netgraph import Channel, Network, TopologySpec, generate_network
+from entroute.purify import circuit_for, evaluate_circuit, oracle_simulate_step, purify_pair
 from entroute.werner import (NoiseParams, PERFECT, distillable,
                              distillable_per_pair, fidelity_to_w,
                              swap_fidelity, w_to_fidelity)
@@ -77,6 +81,25 @@ _NOT_REAL = [
                  id='_evaluate_cached(0.9, 1.0, "1")'),
     pytest.param(lambda: purify._evaluate_cached(None, 1.0, 1.0), "fidelity",
                  id="_evaluate_cached(None, 1.0, 1.0)"),
+    # A number is an exact int or a float: these compare with a float, but
+    # are not one, and would fail later in float arithmetic.
+    pytest.param(lambda: werner.check_fidelity(Decimal("0.9")), "fidelity",
+                 id='check_fidelity(Decimal("0.9"))'),
+    pytest.param(lambda: werner.check_fidelity(Fraction(9, 10)), "fidelity",
+                 id="check_fidelity(Fraction(9, 10))"),
+    pytest.param(lambda: werner.check_fidelity(np.float32(0.9)), "fidelity",
+                 id="check_fidelity(np.float32(0.9))"),
+    pytest.param(lambda: Chain((8, 8), (Decimal("0.9"),) * 2), "fidelity",
+                 id='Chain((8, 8), (Decimal("0.9"),) * 2)'),
+    pytest.param(lambda: NoiseParams(Decimal("0.99"), 1.0), "p2",
+                 id='NoiseParams(Decimal("0.99"), 1.0)'),
+    pytest.param(lambda: NoiseParams(1.0, Fraction(99, 100)), "eta",
+                 id="NoiseParams(1.0, Fraction(99, 100))"),
+    pytest.param(lambda: NoiseParams(np.int64(1), 1.0), "p2", id="NoiseParams(np.int64(1), 1.0)"),
+    pytest.param(lambda: distillable("1", 0.9), "pair count", id='distillable("1", 0.9)'),
+    pytest.param(lambda: distillable(True, 0.95), "pair count", id="distillable(True, 0.95)"),
+    pytest.param(lambda: w_to_fidelity(None), "Werner parameter", id="w_to_fidelity(None)"),
+    pytest.param(lambda: w_to_fidelity(True), "Werner parameter", id="w_to_fidelity(True)"),
 ]
 
 
@@ -85,6 +108,48 @@ def test_a_value_that_is_not_a_real_number_raises_value_error(call, field):
     # None, a string or a complex does not compare with a float; the checks
     # name the parameter instead of letting that comparison's TypeError out.
     with pytest.raises(ValueError, match=field):
+        call()
+
+
+def test_a_number_is_an_exact_int_or_a_float():
+    for v in (0, 1, 2**70, 0.9, float("nan"), np.float64(0.9)):
+        assert werner.is_number(v), v
+    for v in (True, False, None, "0.9", 1j, Decimal("0.9"), Fraction(9, 10),
+              np.float32(0.9), np.int64(1)):
+        assert not werner.is_number(v), v
+    assert werner.check_fidelity(np.float64(0.9)) == 0.9
+
+
+_SPEC = TopologySpec("square", (3, 4), 8, 32, 0.9, seed=1)
+_WRONG_TYPE = [
+    pytest.param(lambda: Chain((8,), (0.9,), None), "noise", id="Chain((8,), (0.9,), None)"),
+    pytest.param(lambda: Network([Channel(0, 1, 8, 0.9)], noise=None), "noise",
+                 id="Network([...], noise=None)"),
+    pytest.param(lambda: generate_network(_SPEC, None), "noise",
+                 id="generate_network(spec, None)"),
+    pytest.param(lambda: purify_pair(0.9, 0.9, None), "noise", id="purify_pair(0.9, 0.9, None)"),
+    pytest.param(lambda: purify_pair(0.9, 0.9, (0.99, 0.99)), "noise",
+                 id="purify_pair(0.9, 0.9, (0.99, 0.99))"),
+    pytest.param(lambda: evaluate_circuit(circuit_for(2), 0.9, None), "noise",
+                 id="evaluate_circuit(circuit_for(2), 0.9, None)"),
+    pytest.param(lambda: evaluate_circuit(None, 0.9), "circuit", id="evaluate_circuit(None, 0.9)"),
+    pytest.param(lambda: oracle_simulate_step(0.9, 0.9, None), "noise",
+                 id="oracle_simulate_step(0.9, 0.9, None)"),
+    pytest.param(lambda: swap_fidelity([0.9, 0.9], None), "noise",
+                 id="swap_fidelity([0.9, 0.9], None)"),
+    pytest.param(lambda: swap_fidelity([0.9], None), "noise", id="swap_fidelity([0.9], None)"),
+    pytest.param(lambda: swap_fidelity(None), "fids", id="swap_fidelity(None)"),
+    pytest.param(lambda: d_bound_by_hops(0.9, None, 8, 16, 3), "noise",
+                 id="d_bound_by_hops(0.9, None, 8, 16, 3)"),
+]
+
+
+@pytest.mark.parametrize("call, name", _WRONG_TYPE)
+def test_an_object_of_the_wrong_type_raises_value_error_naming_it(call, name):
+    # A noise model must be a NoiseParams, a circuit a PurificationCircuit
+    # and fids a list or tuple; otherwise the failure would come later, as
+    # an AttributeError or a TypeError from deep in the code.
+    with pytest.raises(ValueError, match=f"^{name} must be "):
         call()
 
 
