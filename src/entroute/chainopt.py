@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
-from .netgraph import Network, check_egr, check_egr_range, check_int
+from .netgraph import MAX_EGR, Network, check_egr, check_egr_range, check_int, check_network
 from .purify import (MAX_CIRCUIT_K, _evaluate_cached, circuit_for, evaluate_circuit,
                      post_purification_rate)
 from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, check_noise_params,
@@ -45,6 +45,9 @@ class Chain:
     noise: NoiseParams = PERFECT
 
     def __post_init__(self):
+        if not (type(self.egrs) is tuple and type(self.fidelities) is tuple):
+            raise ValueError(f"egrs and fidelities must be tuples, got {self.egrs!r} "
+                             f"and {self.fidelities!r}")
         if len(self.egrs) != len(self.fidelities):
             raise ValueError("egrs and fidelities must have equal length")
         if len(self.egrs) < 1:
@@ -60,9 +63,16 @@ class Chain:
         return len(self.egrs)
 
 
+def _check_chain(chain) -> Chain:
+    """``chain`` if it is a ``Chain``, else a ValueError naming it."""
+    if type(chain) is not Chain:
+        raise ValueError(f"chain must be a Chain, got {chain!r}")
+    return chain
+
+
 def chain_from_path(net: Network, path) -> Chain:
     """The chain induced by walking ``path`` through ``net``'s link table."""
-    links = net.links
+    links = check_network(net).links
     hops = [links[(u, v) if u < v else (v, u)] for u, v in zip(path, path[1:])]
     return Chain(egrs=tuple([egr for egr, _ in hops]),
                  fidelities=tuple([raw_fidelity for _, raw_fidelity in hops]),
@@ -128,7 +138,7 @@ def _segment_table(f_raw: float, min_egr: int, p2: float, eta: float,
     is typed, so a bool misses the entry of 1.0 and is rejected.
     """
     check_int(max_k, "max_k", 1, MAX_CIRCUIT_K)
-    check_int(min_egr, "min_egr", lo=0)
+    check_int(min_egr, "min_egr", 0, MAX_EGR)
     rows = _evaluate_cached(f_raw, p2, eta)[0]
     return tuple([(w, f_out, -k, p_succ * float(min_egr // k)) for k, (f_out, p_succ, w)
                   in enumerate(rows[:max_k], 1)])
@@ -163,6 +173,9 @@ def evaluate_plan(chain: Chain, plan: PurificationPlan) -> PlanEvaluation:
     segment rate. Each circuit is folded by ``evaluate_circuit``, not read
     from the optimizer's cached rows, so this is a reference for them.
     """
+    _check_chain(chain)
+    if type(plan) is not PurificationPlan:
+        raise ValueError(f"plan must be a PurificationPlan, got {plan!r}")
     if plan.n_hops != chain.n_hops:
         raise ValueError(
             f"plan covers {plan.n_hops} hops but chain has {chain.n_hops}")
@@ -220,6 +233,22 @@ def _cover(admitted: list[dict], states: list[dict], stale: int, swap: float) ->
         states[end] = layer
 
 
+def _distils(admitted: list[dict], g: list[float], stale: int, swap: float) -> float:
+    """d of the best fidelity of a full cover by the ``admitted`` circuits,
+    raised by the bound slack; ``g[end]``, the highest W product of a cover
+    of hops [0, end), is rebuilt after hop ``stale`` as G[end] = max over
+    slices of G[end - hops] * W * (swap if end > hops else 1)."""
+    n = len(g) - 1
+    for end in range(stale + 1, n + 1):
+        value = 0.0
+        for hops, circuit in admitted[end].items():
+            w = g[end - hops] * circuit[0] * (swap if end > hops else 1.0)
+            if w > value:
+                value = w
+        g[end] = value
+    return distillable_per_pair(min(1.0, 0.25 + 0.75 * g[n] * _BOUND_SLACK))
+
+
 def _score(covers: dict, best: tuple | None):
     """The best of ``best`` and the full ``covers``: the argmax of the key.
 
@@ -240,38 +269,36 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
 
     Exact over every segmentation and every circuit width 1..``max_k``. A
     ceiling pass comes first: each slice of the chain takes its highest-W
-    circuit, and a DP over segment boundaries keeps, per segment count, the
-    highest-W cover. Its best fidelity F_c is the highest any plan reaches.
+    circuit, and ``_distils`` takes the highest W product of a full cover,
+    whose fidelity F_c is the highest any plan reaches, and its d(F_c).
     A slice's highest-W circuit does not depend on EGR: it is the width that
     ``purify._evaluate_cached`` names as the best up to ``max_k``, so this
     pass reads no per-EGR circuit table, and only that circuit is rated.
     When d(F_c) is 0, every plan has D = 0, plans rank by fidelity and the
-    tie-breaks alone, and the ceiling's best cover is the answer. (At F_c =
-    1/4 a hop holds no entanglement and every plan ties at 1/4, whatever its
-    other circuits; the sweep below breaks those ties as it always has.)
+    tie-breaks alone, and the ceiling's best cover, which only then is
+    built, is the answer. (At F_c = 1/4 a hop holds no entanglement and
+    every plan ties at 1/4, whatever its other circuits; the sweep below
+    breaks those ties as it always has.)
 
     Otherwise a plan's D is at most its rate, the slowest segment's, times
     d(F_c). So every segment rate r is tried as the bottleneck, fastest
-    first: each slice takes its highest-W circuit with rate >= r, the DP
-    runs again, and one argmax of the key (D, F, -segments, -k per segment,
+    first: each slice takes its highest-W circuit with rate >= r, ``_cover``
+    runs, and one argmax of the key (D, F, -segments, -k per segment,
     -length per segment) scores its full covers: ties break toward higher
     fidelity, then fewer segments, smaller k-vectors, shorter leading
     segments. The sweep stops once r * d(F_c) falls below the best D found.
 
-    While no pass may distil, each one first takes the best W product of
-    its covers by a scalar DP, G[end] = max over slices of G[end - hops] *
-    W * (swap if end > hops else 1), rebuilt from the earliest slice that
-    changed; a pass whose 1/4 + 3/4 G[n] gives d = 0, as every pass above
-    the slowest hop's raw rate does, runs no ``_cover``. Its circuits stay
-    admitted and ``stale`` keeps the earliest changed slice, so the next
-    pass rebuilds the covers that every pass would have. The skip is exact
-    for three reasons. A slice's best W never falls as the threshold does,
-    so the passes that cannot distil come first, and once one pass may
-    distil the check stops. A pass is skipped only when its G[n], raised by
-    the bound slack, gives d = 0, so rounding cannot hide a pass that
-    distils. And the skip is taken only when d(F_c) > 0: the answer then
-    has D > 0, or is a D = 0 cover at F_c, above the fidelity of every
-    skipped cover. At F_c = 1/4 every pass runs.
+    While no pass may distil, each one first asks ``_distils`` of its circuits,
+    from the earliest slice that changed; a pass that gives d = 0, as every
+    pass above the slowest hop's raw rate does, runs no ``_cover``. Its
+    circuits stay admitted, and the first pass that may distil builds every
+    cover from hop 0. The skip is exact for three reasons. A slice's best W
+    never falls as the threshold does, so the passes that cannot distil come
+    first, and once one pass may distil the check stops. A pass is skipped only
+    when its best W product, raised by the bound slack, gives d = 0, so
+    rounding cannot hide a pass that distils. And the skip is taken only when
+    the ceiling's d > 0: the answer then has D > 0, or is a D = 0 cover at F_c,
+    above the fidelity of every skipped cover. At F_c = 1/4 every pass runs.
 
     One exception: on a chain with a hop at a fixed point of the purify step
     (F = 1/4, or F = 1/2 with perfect gates), D and the delivered fidelity are
@@ -281,7 +308,7 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
     an ulp.
     """
     check_int(max_k, "max_k", 1, MAX_CIRCUIT_K)
-    n = chain.n_hops
+    n = _check_chain(chain).n_hops
     if n > MAX_CHAIN_HOPS:
         raise ValueError(
             f"chain has {n} hops; optimizer handles at most {MAX_CHAIN_HOPS}")
@@ -312,11 +339,11 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
             k = tops[max_k - 1]
             f_out, p_succ, top_w = outcomes[k - 1]
             ceiling[end][end - start] = (top_w, f_out, -k, p_succ * float(min_egr // k))
+    g = [1.0] + [0.0] * n
+    d_ceiling = _distils(ceiling, g, 0, swap)
     states: list[dict[int, tuple]] = [{0: (1.0, (), (), math.inf)}] + [{} for _ in range(n)]
-    _cover(ceiling, states, 0, swap)
-    f_ceiling = max(fid for fid, *_ in states[n].values())
-    d_ceiling = distillable_per_pair(f_ceiling)
-    if d_ceiling == 0.0 and f_ceiling > F_MIN:
+    if d_ceiling == 0.0 and 0.25 + 0.75 * g[n] > F_MIN:
+        _cover(ceiling, states, 0, swap)
         best = _score(states[n], None)
     else:
         best = None
@@ -325,13 +352,8 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
                 for circuit in _segment_table(f_raw, min_egr, p2, eta, max_k)]
         rows.sort(key=itemgetter(0), reverse=True)
         admitted: list[dict] = [{} for _ in range(n + 1)]
-        states = [{0: (1.0, (), (), math.inf)}] + [{} for _ in range(n)]
-        stale = 0  # covers ending after this hop are rebuilt on the next pass
-        # Until a pass may distil: g[end] is the highest W product of a cover
-        # of hops [0, end) by the admitted circuits, and every entry after
-        # ``dead`` is rebuilt at the next pass. None once a pass may distil.
-        g = [1.0] + [0.0] * n
-        dead = 0 if d_ceiling > 0.0 else None
+        stale = 0  # covers (g until live) ending after this hop are rebuilt next
+        live = d_ceiling == 0.0  # at F_c = 1/4 every pass runs
         for threshold, group in groupby(rows, key=itemgetter(0)):
             if best is not None and threshold * reach < best[0][0]:
                 break
@@ -340,22 +362,13 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
                 if held is None or circuit > held:
                     admitted[end][hops] = circuit
                     stale = min(stale, end - 1)
-                    if dead is not None and end - 1 < dead:
-                        dead = end - 1
             if stale == n:
                 continue
-            if dead is not None:
-                for end in range(dead + 1, n + 1):
-                    value = 0.0
-                    for hops, circuit in admitted[end].items():
-                        w = g[end - hops] * circuit[0] * (swap if end > hops else 1.0)
-                        if w > value:
-                            value = w
-                    g[end] = value
-                if distillable_per_pair(min(1.0, 0.25 + 0.75 * g[n] * _BOUND_SLACK)) == 0.0:
-                    dead = n
+            if not live:
+                if _distils(admitted, g, stale, swap) == 0.0:
+                    stale = n
                     continue
-                dead = None
+                live, stale = True, 0
             _cover(admitted, states, stale, swap)
             stale = n
             best = _score(states[n], best)

@@ -93,6 +93,11 @@ class Channel:
         return (self.u, self.v)
 
 
+def _check_extent(extent) -> list[int]:
+    """The (rows, cols) of ``extent``, each an integer >= 1, else a ValueError."""
+    return [check_int(n, f"each entry of extent {extent!r}", lo=1) for n in extent]
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """Parameters of one generated lattice instance."""
@@ -107,8 +112,7 @@ class TopologySpec:
     def __post_init__(self):
         if self.kind not in LATTICE_KINDS:
             raise ValueError(f"unknown lattice kind {self.kind!r}")
-        rows, cols = [check_int(n, f"each entry of extent {self.extent!r}", lo=1)
-                      for n in self.extent]
+        rows, cols = _check_extent(self.extent)
         if rows * cols < 2:
             raise ValueError(f"extent {self.extent} has fewer than 2 nodes")
         check_egr_range(self.egr_min, self.egr_max)
@@ -132,6 +136,8 @@ class Network:
             check_int(seed, "seed")
         links: dict[tuple[int, int], tuple[int, float]] = {}
         for ch in channels:
+            if type(ch) is not Channel:
+                raise ValueError(f"channel must be a Channel, got {ch!r}")
             if ch.key in links:
                 raise ValueError(f"duplicate channel {ch.key}")
             links[ch.key] = (ch.egr, ch.raw_fidelity)
@@ -172,6 +178,13 @@ class Network:
         return sum(egr for egr, _ in self.links.values()) / len(self.links)
 
 
+def check_network(net) -> Network:
+    """``net`` if it is a ``Network``, else a ValueError naming it."""
+    if type(net) is not Network:
+        raise ValueError(f"net must be a Network, got {net!r}")
+    return net
+
+
 def _lattice_edges(kind: str, rows: int, cols: int) -> list[tuple[int, int]]:
     """Every channel of the lattice, in ascending key order: for ascending
     node u, (u, u + 1), then (u, u + cols), then (u, u + cols + 1)."""
@@ -199,6 +212,8 @@ def generate_network(spec: TopologySpec, noise: NoiseParams = PERFECT) -> Networ
     rejected, so no EGR is favoured. The draws fill ``Network.links``
     directly: the spec has validated the range and the fidelity.
     """
+    if type(spec) is not TopologySpec:
+        raise ValueError(f"spec must be a TopologySpec, got {spec!r}")
     rows, cols = spec.extent
     low, span = spec.egr_min, spec.egr_max - spec.egr_min + 1
     limit = ((1 << 64) // span) * span
@@ -214,7 +229,7 @@ def generate_network(spec: TopologySpec, noise: NoiseParams = PERFECT) -> Networ
 
 def repeater_egr(net: Network, node) -> int:
     """Sum of raw EGR over the channels incident to ``node``."""
-    if node not in net:
+    if node not in check_network(net):
         raise ValueError(f"node {node!r} not in network")
     return sum(egr for _, egr in net.peers[node])
 
@@ -222,7 +237,7 @@ def repeater_egr(net: Network, node) -> int:
 def default_extent(hops: int) -> tuple[int, int]:
     """Smallest lattice extent placing the endpoints ``hops`` apart along a
     central row with two rings of slack on every side."""
-    return (5, hops + 5)
+    return (5, check_int(hops, "hops", lo=1) + 5)
 
 
 def endpoints_for_separation(extent: tuple[int, int], hops: int) -> tuple[int, int]:
@@ -231,8 +246,8 @@ def endpoints_for_separation(extent: tuple[int, int], hops: int) -> tuple[int, i
     Both nodes sit on the central row, so their hop distance equals the
     column difference on all three lattice kinds.
     """
-    rows, cols = extent
-    if hops < 1 or hops + 1 > cols:
+    rows, cols = _check_extent(extent)
+    if check_int(hops, "hops", lo=1) + 1 > cols:
         raise ValueError(f"extent {extent} cannot hold hop separation {hops}")
     row = rows // 2
     col = (cols - 1 - hops) // 2
@@ -244,10 +259,14 @@ def scaled_egr_range(kind: str, repeater_lo: int, repeater_hi: int) -> tuple[int
 
     Interior repeater EGR is degree * mean channel EGR; dividing the target
     repeater range by the interior degree (6, 4, 3) puts the channel ranges
-    in the 2:3:4 ratio for triangular, square, hexagonal grids.
+    in the 2:3:4 ratio for triangular, square, hexagonal grids. The bounds
+    are integers with 1 <= repeater_lo <= repeater_hi; the rounding is in
+    integers, so they need no cap.
     """
     if kind not in LATTICE_KINDS:
         raise ValueError(f"unknown lattice kind {kind!r}")
+    check_int(repeater_lo, "repeater_lo", lo=1)
+    check_int(repeater_hi, "repeater_hi", lo=repeater_lo)
     degree = INTERIOR_DEGREE[kind]
     lo = max(1, _nearest(repeater_lo, degree))
     hi = max(lo, _nearest(repeater_hi, degree))
@@ -262,6 +281,7 @@ def _nearest(n: int, d: int) -> int:
 
 def network_to_json(net: Network) -> str:
     """Serialize a network as a versioned JSON document."""
+    check_network(net)
     doc = {
         "format": NETWORK_FORMAT,
         "nodes": list(net.nodes),

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .netgraph import MAX_EGR, check_int
-from .werner import PERFECT, NoiseParams, check_fidelity, check_noise, check_noise_params
+from .werner import (PERFECT, NoiseParams, check_fidelity, check_noise, check_noise_params,
+                     is_number)
 
 MAX_CIRCUIT_K = 8
 
@@ -236,6 +237,13 @@ def _evaluate_cached(f_in: float, p2: float, eta: float) -> tuple[tuple, tuple[i
     return rows, tuple(tops)
 
 
+def _check_circuit(circuit) -> PurificationCircuit:
+    """``circuit`` if it is a ``PurificationCircuit``, else a ValueError naming it."""
+    if type(circuit) is not PurificationCircuit:
+        raise ValueError(f"circuit must be a PurificationCircuit, got {circuit!r}")
+    return circuit
+
+
 def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
                      noise: NoiseParams = PERFECT) -> CircuitOutcome:
     """Fold the purify step over the circuit tree with all leaves at ``f_in``.
@@ -247,10 +255,9 @@ def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
     ``f_in``, a ``circuit`` that is not a ``PurificationCircuit`` or a
     ``noise`` that is not a ``NoiseParams`` raises ValueError.
     """
-    if type(circuit) is not PurificationCircuit:
-        raise ValueError(f"circuit must be a PurificationCircuit, got {circuit!r}")
+    tree = _check_circuit(circuit).tree
     check_noise_params(noise)
-    f_out, p_succ, _ = _fold(_tree_kernel(circuit.tree), (f_in,), noise.p2, noise.eta)[0]
+    f_out, p_succ, _ = _fold(_tree_kernel(tree), (f_in,), noise.p2, noise.eta)[0]
     return CircuitOutcome(f_out=f_out, p_succ=p_succ)
 
 
@@ -262,11 +269,17 @@ def post_purification_rate(egr: int, circuit: PurificationCircuit,
     must succeed: the rate is p_succ * floor(egr / k). Without purification
     (k = 1) the raw rate passes through. ``egr`` is an integer, not a bool,
     in 0..2**64: an idle segment rates 0, and netgraph's MAX_EGR caps the
-    rest.
+    rest. ``outcome`` is a ``CircuitOutcome`` whose p_succ is a number in
+    [0, 1], so no rate is NaN or infinite; the rate checks it, whatever k.
     """
     if not (type(egr) is int and 0 <= egr <= MAX_EGR):
         raise ValueError(f"egr must be an integer in 0..2**64, got {egr!r}")
-    return float(egr) if circuit.k == 1 else outcome.p_succ * float(egr // circuit.k)
+    k = _check_circuit(circuit).k
+    if not (type(outcome) is CircuitOutcome and is_number(outcome.p_succ)
+            and 0.0 <= outcome.p_succ <= 1.0):
+        raise ValueError(f"outcome must be a CircuitOutcome with p_succ in [0, 1], "
+                         f"got {outcome!r}")
+    return float(egr) if k == 1 else outcome.p_succ * float(egr // k)
 
 
 def oracle_simulate_step(f1: float, f2: float,

@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 
 from .chainopt import (MAX_CHAIN_HOPS, PlanEvaluation, PurificationPlan,
                        chain_from_path, d_bound_by_hops, optimize_chain)
-from .netgraph import Network, check_int
+from .netgraph import Network, check_int, check_network
 from .werner import swap_fidelity  # noqa: F401  (rebound by bench/layers.py)
 
 
@@ -57,7 +57,7 @@ class RoutedPath:
 
 
 def _check_endpoints(net: Network, s, d) -> None:
-    if s not in net:
+    if s not in check_network(net):
         raise ValueError(f"source {s!r} not in network")
     if d not in net:
         raise ValueError(f"destination {d!r} not in network")

@@ -130,6 +130,6 @@ def distillable_per_pair(f: float) -> float:
 
 def distillable(m: float, f: float) -> float:
     """Total ebits distillable from ``m`` Werner pairs of fidelity ``f``."""
-    if not (is_number(m) and m >= 0):  # also rejects NaN
-        raise ValueError(f"pair count must be a number >= 0, got {m!r}")
+    if not (is_number(m) and 0 <= m < math.inf):  # also rejects NaN
+        raise ValueError(f"pair count must be a finite number >= 0, got {m!r}")
     return m * distillable_per_pair(f)

@@ -321,9 +321,9 @@ def test_optimize_skips_the_passes_before_the_first_that_distils(monkeypatch):
 def test_optimize_skips_to_unrated_circuits_when_only_they_distil(monkeypatch):
     # The ceiling distils, but only through k = 4 on EGRs of 2 and 3, rated 0.
     # Every pass at a positive rate distils nothing, and the answer, a D = 0
-    # tie, is the ceiling's fidelity, above each of theirs: after the
-    # ceiling pass only the rate-0 pass runs, not even the one at the
-    # slowest hop's rate.
+    # tie, is the ceiling's fidelity, above each of theirs: only the rate-0
+    # pass builds covers, not the ceiling pass nor the one at the slowest
+    # hop's rate.
     calls = []
     cover = chainopt._cover
     monkeypatch.setattr(chainopt, "_cover", lambda *args: calls.append(None) or cover(*args))
@@ -335,7 +335,7 @@ def test_optimize_skips_to_unrated_circuits_when_only_they_distil(monkeypatch):
         assert evaluation.rate == evaluation.d_total == 0.0
         assert distillable_per_pair(evaluation.final_fidelity) > 0.0
         assert len(_rates_between(chain, 4, 1e-300, min(egrs))) >= 5
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 def test_optimize_finds_pinned_optimum():
@@ -754,3 +754,45 @@ def test_optimizer_and_bound_unfloored_outputs_match_their_pinned_digest():
         digest.update(repr(d_bound_by_hops(f_raw, noise, min_egr, max_egr, max_hops)).encode())
     assert digest.hexdigest() == (
         "2745f5b019d884462859c6068f340b5faeaf2195a1d76520e3116d98162b2b49")
+
+
+# Hop fidelities where the optimizer's tests of 1/4 and of d = 0 decide: at
+# and an ulp or two above 1/4, the fixed point 1/2, around the hashing root
+# (about 0.81071), high, and at and an ulp below 1.
+_EDGE_FIDELITIES = (0.25, math.nextafter(0.25, 1.0), 0.25 + 1e-16, 0.25 + 1e-12, 0.5, 0.8107,
+                    0.81071, 0.8108, 0.9, math.nextafter(1.0, 0.0), 1.0)
+
+
+def test_optimizer_at_edge_fidelities_matches_its_pinned_digest():
+    # Chains of 1-6 hops drawn from the edge fidelities: a product of W
+    # values can be positive while its fidelity rounds to exactly 1/4, and
+    # a cover can sit within rounding of the hashing root.
+    rng = random.Random(34)
+    noises = (PERFECT, NOISY, NoiseParams(0.97, 0.995))
+    digest = hashlib.sha256()
+    for _ in range(4000):
+        n = rng.randint(1, 6)
+        chain = Chain(tuple(rng.choice((1, 2, 3, 8, rng.randint(1, 64))) for _ in range(n)),
+                      tuple(rng.choice(_EDGE_FIDELITIES) for _ in range(n)), rng.choice(noises))
+        for max_k in (8, 4, 2):
+            digest.update(repr(optimize_chain(chain, max_k=max_k)).encode())
+    assert digest.hexdigest() == (
+        "b302e1fe4cb99baf2e8b88c66a12a173372ec966af65fc07b86b160df78c08e6")
+
+
+def test_the_cover_dp_runs_only_where_its_covers_are_scored(monkeypatch):
+    # The ceiling pass and each skipped pass ask ``_distils`` alone, so every
+    # ``_cover`` run is followed by a ``_score`` of its full covers, also on
+    # the chains that sweep.
+    calls = []
+    for name in ("_cover", "_score"):
+        inner = getattr(chainopt, name)
+        monkeypatch.setattr(chainopt, name, lambda *args, name=name, inner=inner:
+                            calls.append(name) or inner(*args))
+    swept = 0
+    for chain, max_k, _ in _pinned_digest_inputs()[0][:500]:
+        calls.clear()
+        optimize_chain(chain, max_k=max_k)
+        assert calls.count("_cover") == calls.count("_score") >= 1
+        swept += calls.count("_score") > 1
+    assert swept > 100

@@ -404,7 +404,7 @@ _INT_PARAMS = [
     ("segment-table-max-k", lambda v: chainopt._segment_table(0.9, 16, 1.0, 1.0, v),
      "max_k", 1, 8),
     ("segment-table-min-egr", lambda v: chainopt._segment_table(0.9, v, 1.0, 1.0, 8),
-     "min_egr", 0, None),
+     "min_egr", 0, netgraph.MAX_EGR),
     ("optimize-chain", lambda v: optimize_chain(_CHAIN, max_k=v), "max_k", 1, 8),
     ("bound-max-hops", lambda v: d_bound_by_hops(0.9, PERFECT, 8, 16, v),
      "max_hops", 1, MAX_CHAIN_HOPS),
@@ -424,6 +424,12 @@ _INT_PARAMS = [
     ("network-seed", lambda v: Network([Channel(0, 1, 8, 0.9)], seed=v), "seed", None, None),
     ("channel-u", lambda v: Channel(v, 99, 8, 0.9), "channel endpoint u", None, None),
     ("channel-v", lambda v: Channel(0, v, 8, 0.9), "channel endpoint v", None, None),
+    ("separation-hops", lambda v: endpoints_for_separation((5, 9), v), "hops", 1, None),
+    ("separation-rows", lambda v: endpoints_for_separation((v, 9), 2),
+     r"each entry of extent \(.+\)", 1, None),
+    ("default-extent", default_extent, "hops", 1, None),
+    ("scaled-egr-lo", lambda v: scaled_egr_range("square", v, 2**70), "repeater_lo", 1, None),
+    ("scaled-egr-hi", lambda v: scaled_egr_range("square", 5, v), "repeater_hi", 5, None),
     ("config-seeds", lambda v: _config(seeds=(v,)), "seeds:", None, None),
     ("config-seed-start", lambda v: _seed_range(v, 1), "seeds: start", None, None),
     ("config-seed-count", lambda v: _seed_range(0, v), "seeds: count", 1, 3),

@@ -179,6 +179,14 @@ def test_post_purification_rate_takes_integer_egrs_up_to_the_egr_cap():
                 post_purification_rate(bad, circuit_for(k), outcome)
 
 
+def test_post_purification_rate_takes_a_p_succ_in_the_unit_interval():
+    assert post_purification_rate(8, circuit_for(2), CircuitOutcome(0.9, 0.0)) == 0.0
+    assert post_purification_rate(8, circuit_for(2), CircuitOutcome(0.9, 1.0)) == 4.0
+    for bad in (-0.5, 1.5):
+        with pytest.raises(ValueError, match="^outcome must be a CircuitOutcome with p_succ in "):
+            post_purification_rate(8, circuit_for(2), CircuitOutcome(0.9, bad))
+
+
 def test_yield_sanity():
     for k in range(2, 9):
         for egr in (0, 1, 8, 20, 32):

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from entroute import purify, werner
-from entroute.chainopt import Chain, d_bound_by_hops
+from entroute.chainopt import Chain, chain_from_path, d_bound_by_hops, evaluate_plan, optimize_chain
 from entroute.dmsim import simulate_swap_step
-from entroute.netgraph import Channel, Network, TopologySpec, generate_network
-from entroute.purify import circuit_for, evaluate_circuit, oracle_simulate_step, purify_pair
+from entroute.netgraph import (Channel, Network, TopologySpec, generate_network, network_to_json,
+                               repeater_egr)
+from entroute.purify import (CircuitOutcome, circuit_for, evaluate_circuit, oracle_simulate_step,
+                             post_purification_rate, purify_pair)
+from entroute.routing import best_path_exhaustive, enumerate_paths, multipath_greedy
 from entroute.werner import (NoiseParams, PERFECT, distillable,
                              distillable_per_pair, fidelity_to_w,
                              swap_fidelity, w_to_fidelity)
@@ -100,6 +103,14 @@ _NOT_REAL = [
     pytest.param(lambda: distillable(True, 0.95), "pair count", id="distillable(True, 0.95)"),
     pytest.param(lambda: w_to_fidelity(None), "Werner parameter", id="w_to_fidelity(None)"),
     pytest.param(lambda: w_to_fidelity(True), "Werner parameter", id="w_to_fidelity(True)"),
+    # inf * d(F) is NaN at d = 0 and inf above it, and a NaN p_succ gives a
+    # NaN rate, whatever the width.
+    pytest.param(lambda: distillable(math.inf, 0.5), "pair count", id="distillable(inf, 0.5)"),
+    pytest.param(lambda: distillable(math.inf, 0.95), "pair count", id="distillable(inf, 0.95)"),
+    pytest.param(lambda: post_purification_rate(8, circuit_for(2), CircuitOutcome(math.nan, math.nan)),
+                 "outcome", id="post_purification_rate(8, circuit_for(2), CircuitOutcome(nan, nan))"),
+    pytest.param(lambda: post_purification_rate(8, circuit_for(1), CircuitOutcome(0.9, math.inf)),
+                 "outcome", id="post_purification_rate(8, circuit_for(1), CircuitOutcome(0.9, inf))"),
 ]
 
 
@@ -141,6 +152,25 @@ _WRONG_TYPE = [
     pytest.param(lambda: swap_fidelity(None), "fids", id="swap_fidelity(None)"),
     pytest.param(lambda: d_bound_by_hops(0.9, None, 8, 16, 3), "noise",
                  id="d_bound_by_hops(0.9, None, 8, 16, 3)"),
+    pytest.param(lambda: optimize_chain(None), "chain", id="optimize_chain(None)"),
+    pytest.param(lambda: evaluate_plan(None, None), "chain", id="evaluate_plan(None, None)"),
+    pytest.param(lambda: evaluate_plan(Chain((8,), (0.9,)), None), "plan",
+                 id="evaluate_plan(Chain((8,), (0.9,)), None)"),
+    pytest.param(lambda: chain_from_path(None, [0, 1]), "net", id="chain_from_path(None, [0, 1])"),
+    pytest.param(lambda: Chain(8, 0.9), "egrs and fidelities", id="Chain(8, 0.9)"),
+    pytest.param(lambda: post_purification_rate(8, None, None), "circuit",
+                 id="post_purification_rate(8, None, None)"),
+    pytest.param(lambda: post_purification_rate(8, circuit_for(2), None), "outcome",
+                 id="post_purification_rate(8, circuit_for(2), None)"),
+    pytest.param(lambda: best_path_exhaustive(None, 0, 1), "net",
+                 id="best_path_exhaustive(None, 0, 1)"),
+    pytest.param(lambda: multipath_greedy(None, 0, 1, 2), "net",
+                 id="multipath_greedy(None, 0, 1, 2)"),
+    pytest.param(lambda: enumerate_paths(None, 0, 1), "net", id="enumerate_paths(None, 0, 1)"),
+    pytest.param(lambda: repeater_egr(None, 0), "net", id="repeater_egr(None, 0)"),
+    pytest.param(lambda: network_to_json(None), "net", id="network_to_json(None)"),
+    pytest.param(lambda: generate_network(None), "spec", id="generate_network(None)"),
+    pytest.param(lambda: Network([None]), "channel", id="Network([None])"),
 ]
 
 
