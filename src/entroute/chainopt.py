@@ -17,11 +17,11 @@ from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
-from .netgraph import MAX_EGR, Network, check_egr, check_egr_range, check_int, check_network
+from .netgraph import MAX_EGR, Network, check_egr, check_egr_range, check_int
 from .purify import (MAX_CIRCUIT_K, _evaluate_cached, circuit_for, evaluate_circuit,
                      post_purification_rate)
-from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, check_noise_params,
-                     distillable, distillable_per_pair, swap_fidelity)
+from .werner import (F_MIN, NoiseParams, PERFECT, check_fidelity, check_type, distillable,
+                     distillable_per_pair, swap_fidelity)
 
 MAX_CHAIN_HOPS = 10
 MAX_SEGMENT_HOPS = 3
@@ -56,24 +56,25 @@ class Chain:
             check_egr(egr, "hop egr")
         for f in self.fidelities:
             check_fidelity(f)
-        check_noise_params(self.noise)
+        check_type(self.noise, NoiseParams, "noise")
 
     @property
     def n_hops(self) -> int:
         return len(self.egrs)
 
 
-def _check_chain(chain) -> Chain:
-    """``chain`` if it is a ``Chain``, else a ValueError naming it."""
-    if type(chain) is not Chain:
-        raise ValueError(f"chain must be a Chain, got {chain!r}")
-    return chain
-
-
 def chain_from_path(net: Network, path) -> Chain:
-    """The chain induced by walking ``path`` through ``net``'s link table."""
-    links = check_network(net).links
-    hops = [links[(u, v) if u < v else (v, u)] for u, v in zip(path, path[1:])]
+    """The chain induced by walking ``path`` through ``net``'s link table.
+
+    ``path`` is a sequence of node ids, each joined to the next by a channel
+    of ``net``; anything else raises ValueError naming it.
+    """
+    links = check_type(net, Network, "net").links
+    try:
+        hops = [links[(u, v) if u < v else (v, u)] for u, v in zip(path, path[1:])]
+    except (KeyError, TypeError):
+        raise ValueError(f"path must be a sequence of nodes joined by channels of net, "
+                         f"got {path!r}") from None
     return Chain(egrs=tuple([egr for egr, _ in hops]),
                  fidelities=tuple([raw_fidelity for _, raw_fidelity in hops]),
                  noise=net.noise)
@@ -86,9 +87,12 @@ class PurificationPlan:
     segments: tuple[tuple[int, int], ...]  # (hop count, circuit k) per segment
 
     def __post_init__(self):
-        if not self.segments:
+        if not check_type(self.segments, tuple, "segments"):
             raise ValueError("plan must have at least one segment")
-        for hops, k in self.segments:
+        for segment in self.segments:
+            if type(segment) is not tuple or len(segment) != 2:
+                raise ValueError(f"segments must be (hops, k) pairs, got {self.segments!r}")
+            hops, k = segment
             check_int(hops, "segment length", 1, MAX_SEGMENT_HOPS)
             check_int(k, "segment circuit width", 1, MAX_CIRCUIT_K)
 
@@ -113,18 +117,21 @@ def no_purification_plan(n_hops: int) -> PurificationPlan:
     return PurificationPlan(segments=((1, 1),) * check_int(n_hops, "n_hops", lo=1))
 
 
-@lru_cache(maxsize=None, typed=True)
 def enumerate_segmentations(n_hops: int) -> tuple[tuple[int, ...], ...]:
     """All ordered compositions of ``n_hops`` into parts of size 1..3, in
     lexicographic order, read off ``_SPLITS``.
 
     Counts follow the tribonacci recurrence T(n) = T(n-1) + T(n-2) + T(n-3).
-    The cache is typed, so True and 2.0 miss the entries of 1 and 2 and are
-    rejected.
+    ``n_hops`` is checked before the cache, so no bool, float or unhashable
+    value reaches it.
     """
-    check_int(n_hops, "n_hops", 1, MAX_CHAIN_HOPS)
+    return _segmentations(check_int(n_hops, "n_hops", 1, MAX_CHAIN_HOPS))
+
+
+@lru_cache(maxsize=None)
+def _segmentations(n_hops: int) -> tuple[tuple[int, ...], ...]:
     return tuple((hops,) + tail for rest, hops in _SPLITS[n_hops]
-                 for tail in (enumerate_segmentations(rest) if rest else ((),)))
+                 for tail in (_segmentations(rest) if rest else ((),)))
 
 
 @lru_cache(maxsize=4096, typed=True)
@@ -173,10 +180,8 @@ def evaluate_plan(chain: Chain, plan: PurificationPlan) -> PlanEvaluation:
     segment rate. Each circuit is folded by ``evaluate_circuit``, not read
     from the optimizer's cached rows, so this is a reference for them.
     """
-    _check_chain(chain)
-    if type(plan) is not PurificationPlan:
-        raise ValueError(f"plan must be a PurificationPlan, got {plan!r}")
-    if plan.n_hops != chain.n_hops:
+    check_type(chain, Chain, "chain")
+    if check_type(plan, PurificationPlan, "plan").n_hops != chain.n_hops:
         raise ValueError(
             f"plan covers {plan.n_hops} hops but chain has {chain.n_hops}")
     noise = chain.noise
@@ -308,7 +313,7 @@ def optimize_chain(chain: Chain, max_k: int = 8) -> tuple[PurificationPlan, Plan
     an ulp.
     """
     check_int(max_k, "max_k", 1, MAX_CIRCUIT_K)
-    n = _check_chain(chain).n_hops
+    n = check_type(chain, Chain, "chain").n_hops
     if n > MAX_CHAIN_HOPS:
         raise ValueError(
             f"chain has {n} hops; optimizer handles at most {MAX_CHAIN_HOPS}")
@@ -397,7 +402,7 @@ def d_bound_by_hops(f_raw: float, noise: NoiseParams, min_egr: int, max_egr: int
     """
     check_egr_range(min_egr, max_egr, "min and max EGR")
     check_int(max_hops, "max_hops", 1, MAX_CHAIN_HOPS)
-    swap = check_noise_params(noise).swap_factor
+    swap = check_type(noise, NoiseParams, "noise").swap_factor
     # D <= r, so a threshold below every entry raises none.
     stop = 0.0
     # (rate, holds the minimum hop, hops, W * swap) for every segment circuit;

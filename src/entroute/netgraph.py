@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .werner import NoiseParams, PERFECT, check_fidelity, check_noise_params
+from .werner import NoiseParams, PERFECT, check_fidelity, check_type
 
 NETWORK_FORMAT = "entroute-network/1"
 GENERATOR_NAME = "splitmix64/v1"
@@ -94,7 +94,9 @@ class Channel:
 
 
 def _check_extent(extent) -> list[int]:
-    """The (rows, cols) of ``extent``, each an integer >= 1, else a ValueError."""
+    """The (rows, cols) of ``extent``, a pair of integers >= 1, else a ValueError."""
+    if not (type(extent) is tuple and len(extent) == 2):
+        raise ValueError(f"extent must be a (rows, cols) pair, got {extent!r}")
     return [check_int(n, f"each entry of extent {extent!r}", lo=1) for n in extent]
 
 
@@ -135,10 +137,12 @@ class Network:
         if seed is not None:
             check_int(seed, "seed")
         links: dict[tuple[int, int], tuple[int, float]] = {}
+        try:
+            channels = iter(channels)
+        except TypeError:
+            raise ValueError(f"channels must be an iterable of Channel, got {channels!r}") from None
         for ch in channels:
-            if type(ch) is not Channel:
-                raise ValueError(f"channel must be a Channel, got {ch!r}")
-            if ch.key in links:
+            if check_type(ch, Channel, "channel").key in links:
                 raise ValueError(f"duplicate channel {ch.key}")
             links[ch.key] = (ch.egr, ch.raw_fidelity)
         self._fill(dict(sorted(links.items())), noise, seed)
@@ -151,7 +155,7 @@ class Network:
         return net
 
     def _fill(self, links: dict, noise: NoiseParams, seed: int | None) -> None:
-        self.noise = check_noise_params(noise)
+        self.noise = check_type(noise, NoiseParams, "noise")
         self.seed = seed
         self.links = links
         # Walking the keys in ascending order appends each node's lower peers
@@ -165,7 +169,7 @@ class Network:
         self.peers = {node: tuple(peers[node]) for node in self.nodes}
 
     def __contains__(self, node) -> bool:
-        return node in self.peers
+        return type(node) is int and node in self.peers
 
     def channel(self, u, v) -> Channel:
         key = (u, v) if u < v else (v, u)
@@ -176,13 +180,6 @@ class Network:
 
     def mean_channel_egr(self) -> float:
         return sum(egr for egr, _ in self.links.values()) / len(self.links)
-
-
-def check_network(net) -> Network:
-    """``net`` if it is a ``Network``, else a ValueError naming it."""
-    if type(net) is not Network:
-        raise ValueError(f"net must be a Network, got {net!r}")
-    return net
 
 
 def _lattice_edges(kind: str, rows: int, cols: int) -> list[tuple[int, int]]:
@@ -212,9 +209,7 @@ def generate_network(spec: TopologySpec, noise: NoiseParams = PERFECT) -> Networ
     rejected, so no EGR is favoured. The draws fill ``Network.links``
     directly: the spec has validated the range and the fidelity.
     """
-    if type(spec) is not TopologySpec:
-        raise ValueError(f"spec must be a TopologySpec, got {spec!r}")
-    rows, cols = spec.extent
+    rows, cols = check_type(spec, TopologySpec, "spec").extent
     low, span = spec.egr_min, spec.egr_max - spec.egr_min + 1
     limit = ((1 << 64) // span) * span
     stream = splitmix64(spec.seed)
@@ -229,7 +224,7 @@ def generate_network(spec: TopologySpec, noise: NoiseParams = PERFECT) -> Networ
 
 def repeater_egr(net: Network, node) -> int:
     """Sum of raw EGR over the channels incident to ``node``."""
-    if node not in check_network(net):
+    if node not in check_type(net, Network, "net"):
         raise ValueError(f"node {node!r} not in network")
     return sum(egr for _, egr in net.peers[node])
 
@@ -281,7 +276,7 @@ def _nearest(n: int, d: int) -> int:
 
 def network_to_json(net: Network) -> str:
     """Serialize a network as a versioned JSON document."""
-    check_network(net)
+    check_type(net, Network, "net")
     doc = {
         "format": NETWORK_FORMAT,
         "nodes": list(net.nodes),
@@ -320,7 +315,7 @@ def network_from_json(text: str) -> Network:
     naming the field. Keys the format does not use, as the ``t_decoh`` of
     older files, are ignored."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(check_type(text, str, "text"))
     except RecursionError as exc:  # nesting too deep to parse
         raise ValueError(f"network: not valid JSON ({exc})") from exc
     if _field(doc, "format", "network") != NETWORK_FORMAT:
@@ -335,8 +330,9 @@ def network_from_json(text: str) -> Network:
 
 
 def save_network(net: Network, path) -> None:
+    text = network_to_json(net)  # a bad net raises before the file is opened
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(network_to_json(net))
+        fh.write(text)
 
 
 def load_network(path) -> Network:

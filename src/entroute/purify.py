@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .netgraph import MAX_EGR, check_int
-from .werner import (PERFECT, NoiseParams, check_fidelity, check_noise, check_noise_params,
-                     is_number)
+from .werner import PERFECT, NoiseParams, check_fidelity, check_noise, check_type, is_number
 
 MAX_CIRCUIT_K = 8
 
@@ -83,13 +82,14 @@ def _balanced_tree(width: int):
     return (_balanced_tree(width // 2), _balanced_tree(width - width // 2))
 
 
-@lru_cache(maxsize=None, typed=True)
 def circuit_for(k: int) -> PurificationCircuit:
-    """The recurrence/pumping circuit consuming ``k`` raw pairs.
+    """The recurrence/pumping circuit consuming ``k`` raw pairs. ``k`` is
+    checked before the cache, so no bool, float or unhashable value reaches it."""
+    return _circuit_for(check_int(k, "circuit width k", 1, MAX_CIRCUIT_K))
 
-    The cache is typed, so True and 2.0 miss the entries of 1 and 2 and are
-    rejected."""
-    check_int(k, "circuit width k", 1, MAX_CIRCUIT_K)
+
+@lru_cache(maxsize=None)
+def _circuit_for(k: int) -> PurificationCircuit:
     base = 1
     while base * 2 <= k:
         base *= 2
@@ -214,7 +214,7 @@ def purify_pair(f1: float, f2: float, noise: NoiseParams = PERFECT) -> CircuitOu
     Werner form, so only its fidelity is tracked. This is a one-step
     fold: slot 0 (``f1``) kept, slot 1 (``f2``) consumed.
     """
-    check_noise_params(noise)
+    check_type(noise, NoiseParams, "noise")
     f_out, p_succ, _ = _fold(_tree_kernel(_PAIR, _PAIR), (f1, f2), noise.p2, noise.eta)[0]
     return CircuitOutcome(f_out=f_out, p_succ=p_succ)
 
@@ -237,13 +237,6 @@ def _evaluate_cached(f_in: float, p2: float, eta: float) -> tuple[tuple, tuple[i
     return rows, tuple(tops)
 
 
-def _check_circuit(circuit) -> PurificationCircuit:
-    """``circuit`` if it is a ``PurificationCircuit``, else a ValueError naming it."""
-    if type(circuit) is not PurificationCircuit:
-        raise ValueError(f"circuit must be a PurificationCircuit, got {circuit!r}")
-    return circuit
-
-
 def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
                      noise: NoiseParams = PERFECT) -> CircuitOutcome:
     """Fold the purify step over the circuit tree with all leaves at ``f_in``.
@@ -255,8 +248,8 @@ def evaluate_circuit(circuit: PurificationCircuit, f_in: float,
     ``f_in``, a ``circuit`` that is not a ``PurificationCircuit`` or a
     ``noise`` that is not a ``NoiseParams`` raises ValueError.
     """
-    tree = _check_circuit(circuit).tree
-    check_noise_params(noise)
+    tree = check_type(circuit, PurificationCircuit, "circuit").tree
+    check_type(noise, NoiseParams, "noise")
     f_out, p_succ, _ = _fold(_tree_kernel(tree), (f_in,), noise.p2, noise.eta)[0]
     return CircuitOutcome(f_out=f_out, p_succ=p_succ)
 
@@ -274,7 +267,7 @@ def post_purification_rate(egr: int, circuit: PurificationCircuit,
     """
     if not (type(egr) is int and 0 <= egr <= MAX_EGR):
         raise ValueError(f"egr must be an integer in 0..2**64, got {egr!r}")
-    k = _check_circuit(circuit).k
+    k = check_type(circuit, PurificationCircuit, "circuit").k
     if not (type(outcome) is CircuitOutcome and is_number(outcome.p_succ)
             and 0.0 <= outcome.p_succ <= 1.0):
         raise ValueError(f"outcome must be a CircuitOutcome with p_succ in [0, 1], "
@@ -295,6 +288,6 @@ def oracle_simulate_step(f1: float, f2: float,
 
     check_fidelity(f1)
     check_fidelity(f2)
-    check_noise_params(noise)
+    check_type(noise, NoiseParams, "noise")
     f_out, p_succ = dmsim.simulate_purify_step(f1, f2, noise.p2, noise.eta)
     return CircuitOutcome(f_out=f_out, p_succ=p_succ)

@@ -17,7 +17,8 @@ from heapq import heappop, heappush
 
 from .chainopt import (MAX_CHAIN_HOPS, PlanEvaluation, PurificationPlan,
                        chain_from_path, d_bound_by_hops, optimize_chain)
-from .netgraph import Network, check_int, check_network
+from .netgraph import Network, check_int
+from .werner import check_type
 from .werner import swap_fidelity  # noqa: F401  (rebound by bench/layers.py)
 
 
@@ -57,7 +58,7 @@ class RoutedPath:
 
 
 def _check_endpoints(net: Network, s, d) -> None:
-    if s not in check_network(net):
+    if s not in check_type(net, Network, "net"):
         raise ValueError(f"source {s!r} not in network")
     if d not in net:
         raise ValueError(f"destination {d!r} not in network")
@@ -238,8 +239,7 @@ def best_path_exhaustive(net: Network, s, d, cutoff: int = 10,
     """
     _check_endpoints(net, s, d)
     check_int(cutoff, "cutoff", 1, MAX_CHAIN_HOPS)
-    if seeds is None:
-        seeds = weighted_routes(net, s, d)
+    seeds = weighted_routes(net, s, d) if seeds is None else check_type(seeds, dict, "seeds")
     links = net.links.values()
     f_raw = max(raw_fidelity for _, raw_fidelity in links)
     top = max(egr for egr, _ in links)

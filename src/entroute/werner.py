@@ -26,6 +26,14 @@ def is_number(v) -> bool:
     return type(v) is int or isinstance(v, float)
 
 
+def check_type(value, cls: type, what: str):
+    """``value`` if its type is exactly ``cls``, else a ValueError naming
+    ``what``: the one rule for an argument that must be an object of a class."""
+    if type(value) is cls:
+        return value
+    raise ValueError(f"{what} must be a {cls.__name__}, got {value!r}")
+
+
 def check_fidelity(f: float) -> float:
     """Validate a Werner fidelity; returns it unchanged.
 
@@ -72,13 +80,6 @@ class NoiseParams:
 PERFECT = NoiseParams(1.0, 1.0)
 
 
-def check_noise_params(noise) -> NoiseParams:
-    """``noise`` if it is a ``NoiseParams``, else a ValueError naming it."""
-    if type(noise) is not NoiseParams:
-        raise ValueError(f"noise must be a NoiseParams, got {noise!r}")
-    return noise
-
-
 def fidelity_to_w(f: float) -> float:
     """Werner parameter W = (4F - 1) / 3 of a state with fidelity ``f``."""
     check_fidelity(f)
@@ -103,7 +104,7 @@ def swap_fidelity(fids: list[float] | tuple[float, ...], noise: NoiseParams = PE
     """
     if not (isinstance(fids, (list, tuple)) and fids):
         raise ValueError(f"fids must be a non-empty list or tuple of fidelities, got {fids!r}")
-    check_noise_params(noise)
+    check_type(noise, NoiseParams, "noise")
     if len(fids) == 1:
         return check_fidelity(fids[0])
     w = 1.0

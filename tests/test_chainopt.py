@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from entroute import chainopt, purify, routing
-from entroute.chainopt import (MAX_CHAIN_HOPS, Chain, PurificationPlan, d_bound_by_hops,
-                               enumerate_segmentations, evaluate_plan,
+from entroute.chainopt import (MAX_CHAIN_HOPS, Chain, PurificationPlan, chain_from_path,
+                               d_bound_by_hops, enumerate_segmentations, evaluate_plan,
                                no_purification_plan, optimize_chain)
 from entroute.netgraph import Channel, Network
 from entroute.purify import (LEAF, CircuitOutcome, circuit_for, evaluate_circuit,
@@ -153,6 +153,15 @@ def test_plan_validation():
         with pytest.raises(ValueError, match="circuit width"):
             PurificationPlan(((1, k),))
     assert PurificationPlan(((3, 8), (2, 1))).summary() == "3:8+2:1"
+
+
+def test_chain_from_path_follows_channels_and_names_a_path_that_does_not():
+    net = Network([Channel(0, 1, 8, 0.95), Channel(1, 5, 16, 0.9)])
+    assert chain_from_path(net, [5, 1, 0]) == Chain((16, 8), (0.9, 0.95))
+    # 0-5 is not a channel; 0-"1" compares an int with a str.
+    for path in ([0, 5], [0, "1"]):
+        with pytest.raises(ValueError, match="^path must be "):
+            chain_from_path(net, path)
 
 
 def test_chain_validation():

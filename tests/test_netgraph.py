@@ -372,6 +372,14 @@ def test_network_checks_its_seed_so_its_file_loads(tmp_path):
     assert load_network(path).seed == 7
 
 
+def test_a_refused_save_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text("kept", encoding="utf-8")
+    with pytest.raises(ValueError, match="^net must be a Network"):
+        save_network(None, path)
+    assert path.read_text(encoding="utf-8") == "kept"
+
+
 _SMALL = generate_network(TopologySpec("square", (2, 3), 8, 32, 0.99, seed=1))
 _CHAIN = Chain(egrs=(16, 16), fidelities=(0.9, 0.9))
 _ONE = IntEnum("Count", "ONE").ONE  # == 1, but not an exact int

@@ -8,7 +8,7 @@ import pytest
 from entroute import routing
 from entroute.chainopt import MAX_CHAIN_HOPS, Chain, chain_from_path, optimize_chain
 from entroute.netgraph import (Channel, Network, TopologySpec, default_extent,
-                               endpoints_for_separation, generate_network)
+                               endpoints_for_separation, generate_network, repeater_egr)
 from entroute.routing import (LinkCost, RoutedPath, best_path_exhaustive,
                               enumerate_paths, multipath_greedy,
                               shortest_weighted_path, weighted_routes)
@@ -89,6 +89,28 @@ def test_enumerate_validates_endpoints():
     for bad in (0, 3.0, True):
         with pytest.raises(ValueError, match="cutoff"):
             enumerate_paths(net, 0, 1, cutoff=bad)
+
+
+_GRID = generate_network(TopologySpec("square", (3, 3), 8, 32, 0.99, seed=1))
+_NOT_A_NODE = [
+    pytest.param(lambda: shortest_weighted_path(_GRID, True, 8), r"source True",
+                 id="shortest_weighted_path(net, True, 8)"),
+    pytest.param(lambda: enumerate_paths(_GRID, [0], 8), r"source \[0\]",
+                 id="enumerate_paths(net, [0], 8)"),
+    pytest.param(lambda: repeater_egr(_GRID, [1]), r"node \[1\]", id="repeater_egr(net, [1])"),
+]
+
+
+@pytest.mark.parametrize("call, node", _NOT_A_NODE)
+def test_a_node_id_that_is_not_an_exact_int_is_not_in_the_network(call, node):
+    # True and 1.0 equal node 1, and a list is unhashable; none is a node id.
+    with pytest.raises(ValueError, match=f"^{node} not in network$"):
+        call()
+
+
+def test_network_membership_takes_only_exact_ints():
+    assert 1 in _GRID
+    assert 1.0 not in _GRID and True not in _GRID and [1] not in _GRID
 
 
 DIAMOND = [(0, 1, 8), (1, 4, 8), (0, 2, 32), (2, 3, 32), (3, 4, 32)]

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from entroute import purify, werner
-from entroute.chainopt import Chain, chain_from_path, d_bound_by_hops, evaluate_plan, optimize_chain
+from entroute.chainopt import (Chain, PurificationPlan, chain_from_path, d_bound_by_hops,
+                               evaluate_plan, optimize_chain)
 from entroute.dmsim import simulate_swap_step
-from entroute.netgraph import (Channel, Network, TopologySpec, generate_network, network_to_json,
-                               repeater_egr)
+from entroute.netgraph import (Channel, Network, TopologySpec, endpoints_for_separation,
+                               generate_network, network_from_json, network_to_json, repeater_egr)
 from entroute.purify import (CircuitOutcome, circuit_for, evaluate_circuit, oracle_simulate_step,
                              post_purification_rate, purify_pair)
 from entroute.routing import best_path_exhaustive, enumerate_paths, multipath_greedy
@@ -171,6 +172,20 @@ _WRONG_TYPE = [
     pytest.param(lambda: network_to_json(None), "net", id="network_to_json(None)"),
     pytest.param(lambda: generate_network(None), "spec", id="generate_network(None)"),
     pytest.param(lambda: Network([None]), "channel", id="Network([None])"),
+    pytest.param(lambda: Network(None), "channels", id="Network(None)"),
+    pytest.param(lambda: TopologySpec("square", None, 8, 32, 0.9, 1), "extent",
+                 id="TopologySpec('square', None, 8, 32, 0.9, 1)"),
+    pytest.param(lambda: endpoints_for_separation(None, 2), "extent",
+                 id="endpoints_for_separation(None, 2)"),
+    pytest.param(lambda: endpoints_for_separation((1, 2, 3), 1), "extent",
+                 id="endpoints_for_separation((1, 2, 3), 1)"),
+    pytest.param(lambda: PurificationPlan(5), "segments", id="PurificationPlan(5)"),
+    pytest.param(lambda: PurificationPlan(((1,),)), "segments", id="PurificationPlan(((1,),))"),
+    pytest.param(lambda: best_path_exhaustive(generate_network(_SPEC), 0, 3, seeds=5), "seeds",
+                 id="best_path_exhaustive(net, 0, 3, seeds=5)"),
+    pytest.param(lambda: network_from_json(None), "text", id="network_from_json(None)"),
+    pytest.param(lambda: chain_from_path(generate_network(_SPEC), None), "path",
+                 id="chain_from_path(net, None)"),
 ]
 
 
